@@ -9,15 +9,23 @@ the plateau by the first Brownian component, so the state survives exactly
 while the running translate keeps x_n inside: a first-exit problem for W from
 [-v_n/4, v_n/4], with closed-form mean a^2 / sigma^2 at half-width a.
 
+The paths are stepped at STEPS_PER_MEAN_EXIT = 64 steps per mean exit time.
+A step that ends inside the interval still kills the path with the
+Brownian-bridge probability of having crossed an edge between its two grid
+points (Baldi 1995; Gobet 2000), so the exit step has the law of the
+continuous-time exit and the coarse grid leaves no monitoring bias.
+
 Two Monte Carlo engines estimate the mean exit time gamma_n:
 
-* reduced: per-path first exit of |W| from the interval, gamma = mean tau;
+* reduced: per-path first exit of W from the interval, gamma = mean of
+  (exit step - 1/2) * dt, the exit placed mid-step;
 * operator: per-path running interval-set state [eps - min W, theta_e - max W]
   with survival of the state angle, gamma = trapezoid rule over the survival
   curve with a truncated, bounded tail.
 
-Both engines evaluate survival through identical float comparisons, so their
-per-path indicators agree exactly; they differ in how time is integrated.
+Both engines draw the same normals and kill uniforms and evaluate survival
+through identical float comparisons, so their per-path indicators agree
+exactly; they differ only in how the tail of the survival curve is integrated.
 
 The small-v asymptotics gamma ~ c1 v^{2/n0} + c2 v^{4/n0} yield an effective
 dimension and mean-curvature invariant; a classical circle benchmark with
@@ -29,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -37,9 +46,11 @@ from .banded import RieffelProjectionSpec
 from .flow import stream_rng
 
 DEFAULT_SIGMA2 = 2.0
-STEPS_PER_MEAN_EXIT = 4096
+STEPS_PER_MEAN_EXIT = 64
 SURVIVAL_TRUNCATION = 1e-4
 ENGINE_CHUNK = 4096
+# Family-wise rate at which two correct engines fail the agreement check.
+ENGINE_AGREEMENT_ALPHA = 1e-3
 
 
 # -- continued fractions and the family -----------------------------------------------
@@ -147,23 +158,44 @@ def exit_time_oracle_exact(a: float, sigma2: float) -> float:
 # -- survival engines ---------------------------------------------------------------------
 
 
-def _exit_steps(n_paths: int, lo: float, hi: float, step_scale: float,
-                seed: int, level_tag: int, engine: str,
-                max_steps: int) -> np.ndarray:
-    """First step index at which each path leaves [lo, hi], both engines.
+def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
+                dt: Optional[float], seed: int,
+                sigma2: float) -> tuple[np.ndarray, float]:
+    """Exit step of each path at one family level, and the step length dt.
+
+    Paths start at the state angle and leave [lo, hi] = [eps - x0, v - x0].
+    Each step draws one normal, then one uniform, per live path from the
+    chunk's stream.  A step that ends inside [lo, hi] still kills the path
+    when its uniform falls below the Brownian-bridge probability of having
+    crossed an edge between the two grid points,
+    exp(-2 (hi - w0)(hi - w1) / s^2) + exp(-2 (w0 - lo)(w1 - lo) / s^2)
+    with s^2 = sigma2 * dt, so the exit step is the step in which the
+    continuous path left.  The sum overcounts paths that touch both edges
+    within one step, which is negligible while s is small next to hi - lo.
 
     reduced: survival is the closed condition lo <= W <= hi checked on the
     current value.  operator: the running interval-set state [eps - min W,
     theta_e - max W] must contain the state angle, i.e. min W >= lo and
     max W <= hi.  min(a,b) >= c is float-identical to (a >= c) & (b >= c),
-    so the two masks agree bitwise and the engines stay path-aligned.
+    and both engines apply the same bridge kill, so the masks agree bitwise
+    and the engines stay path-aligned.
     """
+    if engine not in ("reduced", "operator"):
+        raise ValueError("engine must be 'reduced' or 'operator'")
+    level = family.levels[index]
+    if dt is None:
+        dt = _default_dt(level.half_width, sigma2)
+    lo = level.epsilon - level.state_angle
+    hi = level.v - level.state_angle
+    step_scale = math.sqrt(sigma2 * dt)
+    kill_rate = 2.0 / (step_scale * step_scale)
+    max_steps = STEPS_PER_MEAN_EXIT * 4096
     out = np.zeros(n_paths, dtype=np.int64)
     done = 0
     chunk_index = 0
     while done < n_paths:
         size = min(ENGINE_CHUNK, n_paths - done)
-        rng = stream_rng(seed, 3, level_tag, chunk_index)
+        rng = stream_rng(seed, 3, index, chunk_index)
         w = np.zeros(size)
         idx = np.arange(size, dtype=np.int64)
         if engine == "operator":
@@ -174,13 +206,18 @@ def _exit_steps(n_paths: int, lo: float, hi: float, step_scale: float,
             step += 1
             if step > max_steps:
                 raise RuntimeError("exit-time simulation exceeded the step cap")
-            w = w + rng.normal(size=idx.size) * step_scale
+            w_next = w + rng.normal(size=idx.size) * step_scale
+            u = rng.random(size=idx.size)
+            crossed = (np.exp(-kill_rate * (hi - w) * (hi - w_next))
+                       + np.exp(-kill_rate * (w - lo) * (w_next - lo)))
+            w = w_next
             if engine == "operator":
                 run_min = np.minimum(run_min, w)
                 run_max = np.maximum(run_max, w)
                 alive = (run_min >= lo) & (run_max <= hi)
             else:
                 alive = (w >= lo) & (w <= hi)
+            alive &= u >= crossed
             if not alive.all():
                 dead = ~alive
                 out[done + idx[dead]] = step
@@ -191,7 +228,7 @@ def _exit_steps(n_paths: int, lo: float, hi: float, step_scale: float,
                     run_max = run_max[alive]
         done += size
         chunk_index += 1
-    return out
+    return out, dt
 
 
 @dataclass
@@ -210,31 +247,22 @@ class GammaEstimate:
 
 
 def _default_dt(half_width: float, sigma2: float) -> float:
-    # Mean exit needs ~STEPS_PER_MEAN_EXIT steps: increments are a/64, and the
-    # discrete-monitoring bias ~2 * 0.5826 * sigma*sqrt(dt)/a ~ 1.8% is uniform
-    # across levels, so log-log slopes are preserved.
+    # Mean exit needs ~STEPS_PER_MEAN_EXIT steps, so increments are a/8.  The
+    # bridge kill in _exit_steps removes the discrete-monitoring bias, which
+    # at this grid would otherwise be ~2 * 0.5826 * sigma*sqrt(dt)/a ~ 15%.
     return (half_width * half_width / sigma2) / STEPS_PER_MEAN_EXIT
 
 
-def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
-                   n_paths: int = 10_000, dt: Optional[float] = None,
-                   seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
-                   truncation: float = SURVIVAL_TRUNCATION) -> GammaEstimate:
-    """Monte Carlo mean exit time gamma_n for one family level."""
-    if engine not in ("reduced", "operator"):
-        raise ValueError("engine must be 'reduced' or 'operator'")
-    level = family.levels[index]
-    a = level.half_width
-    eps, theta_e, x0 = level.epsilon, level.v, level.state_angle
-    lo = eps - x0
-    hi = theta_e - x0
-    if dt is None:
-        dt = _default_dt(a, sigma2)
-    step_scale = math.sqrt(sigma2 * dt)
-    max_steps = STEPS_PER_MEAN_EXIT * 4096
-    exits = _exit_steps(n_paths, lo, hi, step_scale, seed, index, engine, max_steps)
+def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: float,
+                      sigma2: float, seed: int, truncation: float) -> GammaEstimate:
+    """Mean exit time estimate from the exit steps of one level's paths.
+
+    Both estimators place an exit half a step before the grid point that
+    recorded it, where the bridge-corrected exit time falls on average.
+    """
+    n_paths = exits.size
     if engine == "reduced":
-        taus = exits.astype(float) * dt
+        taus = (exits - 0.5) * dt
         gamma = float(np.mean(taus))
         stderr = float(np.std(taus, ddof=1) / math.sqrt(n_paths))
         bound = 0.0
@@ -251,12 +279,22 @@ def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
         rect = float(np.mean(capped)) * dt
         gamma = rect - dt * (1.0 - s_end) / 2.0
         stderr = float(np.std(capped.astype(float) * dt, ddof=1) / math.sqrt(n_paths))
-        bound = s_end * exit_time_oracle_exact(a, sigma2)
+        bound = s_end * exit_time_oracle_exact(level.half_width, sigma2)
         flagged = bound > 0.01 * gamma
     return GammaEstimate(gamma=gamma, stderr=stderr, engine=engine, v=level.v,
                          n_paths=n_paths, dt=dt, sigma2=sigma2, seed=seed,
                          truncation_bound=bound, truncation_flagged=flagged,
                          mean_steps=float(np.mean(exits)))
+
+
+def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
+                   n_paths: int = 10_000, dt: Optional[float] = None,
+                   seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
+                   truncation: float = SURVIVAL_TRUNCATION) -> GammaEstimate:
+    """Monte Carlo mean exit time gamma_n for one family level."""
+    exits, dt = _exit_steps(family, index, engine, n_paths, dt, seed, sigma2)
+    return _gamma_from_exits(exits, engine, family.levels[index], dt, sigma2, seed,
+                             truncation)
 
 
 @dataclass
@@ -274,23 +312,26 @@ def run_survival_comparison(family: ExitFamily, index: int, n_paths: int = 2000,
 
     Per-path survival indicators are determined by the exit step, so exact
     boolean equality of the indicator processes is exact equality of the exit
-    steps.
+    steps.  Each engine's estimate is made from the exit steps compared here.
     """
     level = family.levels[index]
-    a = level.half_width
-    if dt is None:
-        dt = _default_dt(a, sigma2)
-    lo = level.epsilon - level.state_angle
-    hi = level.v - level.state_angle
-    scale = math.sqrt(sigma2 * dt)
-    cap = STEPS_PER_MEAN_EXIT * 4096
-    e_red = _exit_steps(n_paths, lo, hi, scale, seed, index, "reduced", cap)
-    e_op = _exit_steps(n_paths, lo, hi, scale, seed, index, "operator", cap)
+    e_red, dt = _exit_steps(family, index, "reduced", n_paths, dt, seed, sigma2)
+    e_op, _ = _exit_steps(family, index, "operator", n_paths, dt, seed, sigma2)
     diff = int(np.max(np.abs(e_red - e_op))) if n_paths else 0
-    red = gamma_estimate(family, index, "reduced", n_paths, dt, seed, sigma2)
-    op = gamma_estimate(family, index, "operator", n_paths, dt, seed, sigma2)
+    red = _gamma_from_exits(e_red, "reduced", level, dt, sigma2, seed, SURVIVAL_TRUNCATION)
+    op = _gamma_from_exits(e_op, "operator", level, dt, sigma2, seed, SURVIVAL_TRUNCATION)
     return SurvivalComparison(indicators_equal=bool(np.array_equal(e_red, e_op)),
                               max_step_difference=diff, reduced=red, operator=op)
+
+
+def agreement_z_max(levels: int, alpha: float = ENGINE_AGREEMENT_ALPHA) -> float:
+    """Per-level threshold on the engine-agreement z over `levels` levels.
+
+    With correct engines on independent streams each z is ~|N(0, 1)|, so
+    z* = Phi^{-1}(1 - alpha / (2 levels)) keeps the chance that any level
+    exceeds it at or below alpha (Bonferroni).
+    """
+    return NormalDist().inv_cdf(1.0 - alpha / (2.0 * levels))
 
 
 # -- asymptotics ------------------------------------------------------------------------------
@@ -304,6 +345,14 @@ class AsymptoticsFit:
     c2: float
     slope_residual: float
     pairs: list[tuple[float, float, float]]
+    # Weighted-least-squares standard error of c2; None unless every pair
+    # carries a positive stderr.
+    c2_stderr: Optional[float]
+
+    @property
+    def c2_resolved(self) -> bool:
+        """False when c2 lies within two standard errors of zero."""
+        return self.c2_stderr is None or abs(self.c2) >= 2.0 * self.c2_stderr
 
 
 def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsFit:
@@ -312,7 +361,8 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
     The log-log slope picks the order n0 in 1..6 with 2/n0 nearest the slope;
     a residual above 0.25 means no clean power law: "no asymptotic detected".
     Weighted least squares uses 1/stderr^2 when standard errors are provided
-    (zero or missing stderr falls back to unit weight).
+    (zero or missing stderr falls back to unit weight); when all are given,
+    the coefficient covariance (X^T W X)^{-1} yields the stderr of c2.
     """
     pairs = [(float(v), float(g), float(s) if s else 0.0) for v, g, s in pairs]
     if len(pairs) < 4:
@@ -341,9 +391,13 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
     wls = np.ones(len(vs))
     wls[has_err] = 1.0 / ss[has_err] ** 2
     sw = np.sqrt(wls)
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], gs * sw, rcond=None)
+    weighted = design * sw[:, None]
+    coef, *_ = np.linalg.lstsq(weighted, gs * sw, rcond=None)
+    c2_stderr = None
+    if has_err.all():
+        c2_stderr = float(math.sqrt(np.linalg.inv(weighted.T @ weighted)[1, 1]))
     return AsymptoticsFit(slope=slope, n0=n0, c1=float(coef[0]), c2=float(coef[1]),
-                          slope_residual=residual, pairs=pairs)
+                          slope_residual=residual, pairs=pairs, c2_stderr=c2_stderr)
 
 
 @dataclass
@@ -480,6 +534,7 @@ class AsymptoticsReport:
             "n0": self.fit.n0,
             "c1": self.fit.c1,
             "c2": self.fit.c2,
+            "c2_stderr": self.fit.c2_stderr,
             "d": self.invariants.d,
             "H": self.invariants.h,
             "H_squared": self.invariants.h_squared,

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 PSD_TOL = 1e-10
 INVERTIBLE_TOL = 1e-10
@@ -734,6 +733,10 @@ def convolution_exp(C: CoalgebraMatrix, t: float) -> np.ndarray:
     The coproduct of a matrix corepresentation turns convolution powers into
     matrix powers, so the exponential series is the matrix exponential.
     """
+    # Imported here: scipy.linalg is the slowest import of the package, and
+    # nothing else needs it.
+    from scipy.linalg import expm
+
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     return expm(t * C.matrix())

@@ -12,7 +12,7 @@ Oracles provided:
   the banded crossed-product arithmetic against the coefficient arithmetic),
 * alternating-product lattice meet for explicitly represented q x q matrices,
 * first-exit statistics of one-dimensional Brownian motion from a symmetric
-  interval (closed-form mean a^2 / sigma^2),
+  interval (closed-form mean a^2 / sigma^2 and survival series),
 * Taylor coefficients by central differences with one Richardson step.
 """
 
@@ -102,6 +102,22 @@ def exit_time_mean_exact(a: float, sigma2: float) -> float:
 def exit_time_var_exact(a: float, sigma2: float) -> float:
     """Var[tau] for the same exit problem (standard BM scaling: 2 a^4 / 3)."""
     return 2.0 * a ** 4 / (3.0 * sigma2 ** 2)
+
+
+def exit_time_survival_exact(t: float, a: float, sigma2: float, terms: int = 200) -> float:
+    """P(tau > t) for the same exit problem, by the eigenfunction series.
+
+    (4/pi) sum_k (-1)^k / (2k+1) exp(-(2k+1)^2 pi^2 sigma2 t / (8 a^2)); the
+    default 200 terms converge to double precision for t >= 1e-3 a^2 / sigma2.
+    """
+    if t <= 0.0:
+        return 1.0
+    rate = math.pi ** 2 * sigma2 * t / (8.0 * a * a)
+    total = 0.0
+    for k in range(terms):
+        n = 2 * k + 1
+        total += (-1) ** k / n * math.exp(-n * n * rate)
+    return 4.0 / math.pi * total
 
 
 # -- Taylor coefficients ----------------------------------------------------------------

@@ -8,8 +8,11 @@ import pytest
 
 from ncqbm.banded import build_rieffel_projection, is_projection
 from ncqbm.exit_times import (
+    ENGINE_AGREEMENT_ALPHA,
     AsymptoticsReport,
     ExitFamily,
+    _exit_steps,
+    agreement_z_max,
     classical_circle_benchmark,
     convergents,
     exit_time_oracle_exact,
@@ -23,7 +26,11 @@ from ncqbm.exit_times import (
 )
 from ncqbm.lattice import plateau_set
 
-from oracles import convergent_denominators_oracle, exit_time_mean_exact
+from oracles import (
+    convergent_denominators_oracle,
+    exit_time_mean_exact,
+    exit_time_survival_exact,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -119,8 +126,8 @@ def test_reduced_engine_matches_exact_mean():
     fam = ExitFamily.golden(4)
     est = gamma_estimate(fam, 2, engine="reduced", n_paths=3000, seed=11)
     exact = exit_time_mean_exact(fam.levels[2].half_width, est.sigma2)
-    # Discrete monitoring inflates the mean by ~(1 + 0.5826/64)^2 ~ 1.8%.
-    assert abs(est.gamma - 1.0183 * exact) < 4.0 * est.stderr
+    # The bridge kill leaves no discrete-monitoring bias.
+    assert abs(est.gamma - exact) < 4.0 * est.stderr
     assert 0.99 * exact < est.gamma < 1.06 * exact
     assert est.truncation_bound == 0.0
     assert not est.truncation_flagged
@@ -130,9 +137,9 @@ def test_default_step_count_near_target():
     fam = ExitFamily.golden(3)
     est = gamma_estimate(fam, 1, engine="reduced", n_paths=1000, seed=3)
     assert est.dt == pytest.approx(
-        exit_time_mean_exact(fam.levels[1].half_width, est.sigma2) / 4096
+        exit_time_mean_exact(fam.levels[1].half_width, est.sigma2) / 64
     )
-    assert 3500 < est.mean_steps < 4700
+    assert 55 < est.mean_steps < 74
 
 
 def test_engines_agree_bitwise_on_shared_streams():
@@ -150,8 +157,32 @@ def test_operator_engine_matches_exact_mean():
     fam = ExitFamily.golden(4)
     est = gamma_estimate(fam, 1, engine="operator", n_paths=3000, seed=4)
     exact = exit_time_mean_exact(fam.levels[1].half_width, est.sigma2)
-    assert abs(est.gamma - 1.0183 * exact) < 4.0 * est.stderr
+    assert abs(est.gamma - exact) < 4.0 * est.stderr
     assert est.truncation_bound < 0.01 * est.gamma
+
+
+def test_exit_step_law_matches_survival_series():
+    # Kolmogorov-Smirnov distance between the empirical P(step > j) and the
+    # exact P(tau > t_j) at the grid times; 1.95/sqrt(n) is the alpha = 1e-3
+    # critical value, conservative here since only grid times are compared.
+    fam = ExitFamily.golden(4)
+    n = 20_000
+    sigma2 = 2.0
+    exits, dt = _exit_steps(fam, 2, "reduced", n, None, 17, sigma2)
+    a = fam.levels[2].half_width
+    steps = np.arange(1, int(exits.max()) + 1)
+    empirical = (exits[None, :] > steps[:, None]).mean(axis=1)
+    exact = np.array([exit_time_survival_exact(j * dt, a, sigma2) for j in steps])
+    assert np.max(np.abs(empirical - exact)) < 1.95 / math.sqrt(n)
+
+
+def test_both_engines_unbiased_at_1e5_paths():
+    fam = ExitFamily.golden(6)
+    cmp = run_survival_comparison(fam, 4, n_paths=100_000, seed=23)
+    assert cmp.indicators_equal
+    exact = exit_time_mean_exact(fam.levels[4].half_width, cmp.reduced.sigma2)
+    for est in (cmp.reduced, cmp.operator):
+        assert abs(est.gamma - exact) < 4.0 * est.stderr
 
 
 def test_gamma_estimate_is_deterministic_in_seed():
@@ -219,6 +250,47 @@ def test_fit_uses_reported_errors_as_weights():
     pairs = [(v, v * v / 32.0, 1e-9 * v * v) for v in vs]
     fit = fit_asymptotics(pairs)
     assert fit.c1 == pytest.approx(1.0 / 32.0, rel=1e-9)
+
+
+def test_fit_c2_resolved_on_exact_data():
+    vs = np.geomspace(0.01, 0.3, 8)
+    gammas = [v * v / 32.0 + v ** 4 / 6144.0 for v in vs]
+    fit = fit_asymptotics([(v, g, 1e-9 * g) for v, g in zip(vs, gammas)])
+    assert 0.0 < fit.c2_stderr < 1e-3 * fit.c2
+    assert fit.c2_resolved
+    # Without standard errors there is no covariance to judge c2 by.
+    unweighted = fit_asymptotics([(v, g, 0.0) for v, g in zip(vs, gammas)])
+    assert unweighted.c2_stderr is None
+    assert unweighted.c2_resolved
+
+
+def test_fit_c2_unresolved_on_noisy_data():
+    # The exit-sweep setting: gamma = v^2/32 exactly (c2 = 0), 0.8% noise.
+    rng = np.random.default_rng(5)
+    vs = np.array(ExitFamily.golden(6).v)
+    exact = vs * vs / 32.0
+    stderr = 0.008 * exact
+    gammas = exact + stderr * rng.normal(size=vs.size)
+    fit = fit_asymptotics(list(zip(vs, gammas, stderr)))
+    # (X^T W X)^{-1} by hand for the two-column design.
+    design = np.column_stack([vs ** 2, vs ** 4]) / stderr[:, None]
+    cov = np.linalg.inv(design.T @ design)
+    assert fit.c2_stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-9)
+    assert abs(fit.c2) < 2.0 * fit.c2_stderr
+    assert not fit.c2_resolved
+
+
+# -- engine-agreement budget ----------------------------------------------------------------------
+
+
+def test_agreement_threshold_follows_level_count():
+    assert agreement_z_max(6) == pytest.approx(3.765, abs=1e-3)
+    thresholds = [agreement_z_max(n) for n in (1, 2, 6, 20)]
+    assert thresholds == sorted(thresholds)
+    for n, z in zip((1, 2, 6, 20), thresholds):
+        # P(|N(0,1)| > z) summed over n levels is the family-wise rate.
+        assert n * math.erfc(z / math.sqrt(2.0)) == pytest.approx(ENGINE_AGREEMENT_ALPHA,
+                                                                rel=1e-9)
 
 
 # -- invariant extraction -------------------------------------------------------------------------
