@@ -49,6 +49,8 @@ DEFAULT_SIGMA2 = 2.0
 STEPS_PER_MEAN_EXIT = 64
 SURVIVAL_TRUNCATION = 1e-4
 ENGINE_CHUNK = 4096
+# A chunk that runs this many mean exit times of its level is cut off.
+MAX_MEAN_EXITS = 4096
 # Family-wise rate at which two correct engines fail the agreement check.
 ENGINE_AGREEMENT_ALPHA = 1e-3
 
@@ -189,7 +191,8 @@ def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
     hi = level.v - level.state_angle
     step_scale = math.sqrt(sigma2 * dt)
     kill_rate = 2.0 / (step_scale * step_scale)
-    max_steps = STEPS_PER_MEAN_EXIT * 4096
+    steps_per_mean = math.ceil(exit_time_oracle_exact(level.half_width, sigma2) / dt)
+    max_steps = MAX_MEAN_EXITS * max(1, steps_per_mean)
     out = np.zeros(n_paths, dtype=np.int64)
     done = 0
     chunk_index = 0
@@ -324,14 +327,14 @@ def run_survival_comparison(family: ExitFamily, index: int, n_paths: int = 2000,
                               max_step_difference=diff, reduced=red, operator=op)
 
 
-def agreement_z_max(levels: int, alpha: float = ENGINE_AGREEMENT_ALPHA) -> float:
+def agreement_z_max(levels: int) -> float:
     """Per-level threshold on the engine-agreement z over `levels` levels.
 
     With correct engines on independent streams each z is ~|N(0, 1)|, so
-    z* = Phi^{-1}(1 - alpha / (2 levels)) keeps the chance that any level
-    exceeds it at or below alpha (Bonferroni).
+    z* = Phi^{-1}(1 - alpha / (2 levels)) with alpha = ENGINE_AGREEMENT_ALPHA
+    keeps the chance that any level exceeds it at or below alpha (Bonferroni).
     """
-    return NormalDist().inv_cdf(1.0 - alpha / (2.0 * levels))
+    return NormalDist().inv_cdf(1.0 - ENGINE_AGREEMENT_ALPHA / (2.0 * levels))
 
 
 # -- asymptotics ------------------------------------------------------------------------------

@@ -142,6 +142,21 @@ def test_default_step_count_near_target():
     assert 55 < est.mean_steps < 74
 
 
+def test_step_cap_scales_with_explicit_dt(monkeypatch):
+    # The cap counts mean exit times of the level, so a dt finer than the
+    # default grid moves it: at dt = mean/1024 a 16-mean-exit cap is 16384
+    # steps, where a cap tied to the default grid would stop at 16 * 64.
+    monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 16)
+    fam = ExitFamily.golden(3)
+    sigma2 = 2.0
+    dt = exit_time_mean_exact(fam.levels[1].half_width, sigma2) / 1024
+    exits, _ = _exit_steps(fam, 1, "reduced", 200, dt, 3, sigma2)
+    assert exits.max() > 16 * 64
+    monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 1)
+    with pytest.raises(RuntimeError, match="step cap"):
+        _exit_steps(fam, 1, "reduced", 200, dt, 3, sigma2)
+
+
 def test_engines_agree_bitwise_on_shared_streams():
     fam = ExitFamily.golden(5)
     cmp = run_survival_comparison(fam, 3, n_paths=1500, seed=7)
