@@ -18,6 +18,7 @@ descending ramp, with trace equal to the effective rotation angle.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -172,6 +173,22 @@ def grid(n: int) -> np.ndarray:
     return _GRID_CACHE[n]
 
 
+def _stencil(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Neighbour indices i0, i1 and weights 1 - w, w of periodic linear
+    interpolation at the points x of an n-sample grid."""
+    pos = np.mod(np.asarray(x, dtype=float), 1.0) * n
+    i0 = np.floor(pos).astype(np.int64)
+    w = pos - i0
+    i0 = np.mod(i0, n)
+    return i0, np.mod(i0 + 1, n), 1.0 - w, w
+
+
+@functools.lru_cache(maxsize=8)
+def _shift_stencil(n: int, s: float) -> tuple[np.ndarray, ...]:
+    """The stencil of grid(n) - s; banded products reuse a few shifts k theta."""
+    return _stencil(grid(n) - s, n)
+
+
 class CircleFunction:
     """Complex function on [0,1): N grid samples plus optional exact descriptor.
 
@@ -207,15 +224,18 @@ class CircleFunction:
     def eval_at(self, x: np.ndarray) -> np.ndarray:
         if self.exact is not None:
             return self.exact.eval(x)
-        pos = np.mod(np.asarray(x, dtype=float), 1.0) * self.n
-        i0 = np.floor(pos).astype(np.int64)
-        w = pos - i0
-        i0 = np.mod(i0, self.n)
-        i1 = np.mod(i0 + 1, self.n)
-        return self.samples[i0] * (1.0 - w) + self.samples[i1] * w
+        i0, i1, w0, w1 = _stencil(x, self.n)
+        return self.samples[i0] * w0 + self.samples[i1] * w1
+
+    def eval_shifted(self, s: float) -> np.ndarray:
+        """eval_at(grid(n) - s), bit for bit, with the stencil cached."""
+        if self.exact is not None:
+            return self.exact.eval(grid(self.n) - s)
+        i0, i1, w0, w1 = _shift_stencil(self.n, s)
+        return self.samples[i0] * w0 + self.samples[i1] * w1
 
     def sup(self) -> float:
-        return float(np.max(np.abs(self.samples))) if self.n else 0.0
+        return float(np.abs(self.samples).max()) if self.n else 0.0
 
     def integral(self) -> complex:
         if self.exact is not None:
@@ -238,12 +258,13 @@ class CircleFunction:
 class BandedElement:
     """Finite sum over bands k of f_k(U) V^k in a fixed-angle banded algebra."""
 
-    __slots__ = ("context", "n", "bands")
+    __slots__ = ("context", "n", "bands", "_sups")
 
     def __init__(self, context: AlgebraContext, bands: Mapping[int, CircleFunction],
                  n: Optional[int] = None) -> None:
         self.context = context
         kept: dict[int, CircleFunction] = {}
+        sups: dict[int, float] = {}
         sizes = {f.n for f in bands.values()}
         if len(sizes) > 1:
             raise ValueError("all bands must share one grid size")
@@ -258,7 +279,9 @@ class BandedElement:
             # surfaces instead of vanishing through the drop rule.
             if sup > BAND_DROP_TOL or not math.isfinite(sup):
                 kept[int(k)] = f
+                sups[int(k)] = sup
         self.bands = kept
+        self._sups = sups
 
     @classmethod
     def identity(cls, context: AlgebraContext, n: int = DEFAULT_GRID) -> "BandedElement":
@@ -273,11 +296,11 @@ class BandedElement:
         return f if f is not None else CircleFunction.zero(self.n)
 
     def band_sups(self) -> dict[int, float]:
-        return {k: f.sup() for k, f in sorted(self.bands.items())}
+        return dict(sorted(self._sups.items()))
 
     def off_diagonal_sup(self) -> float:
         """Largest sup-norm among bands k != 0."""
-        return max((f.sup() for k, f in self.bands.items() if k != 0), default=0.0)
+        return max((s for k, s in self._sups.items() if k != 0), default=0.0)
 
     def __sub__(self, other: "BandedElement") -> "BandedElement":
         self._check(other)
@@ -309,12 +332,11 @@ def banded_mul(a: BandedElement, b: BandedElement) -> BandedElement:
     """(f_k V^k)(g_j V^j) accumulates f_k(x) g_j(x - k theta) at band k + j."""
     a._check(b)
     theta = a.context.theta
-    x = grid(a.n)
     acc: dict[int, np.ndarray] = {}
     for k, f in a.bands.items():
         fa = f.samples
         for j, g in b.bands.items():
-            gs = g.eval_at(x - k * theta) if k != 0 else g.samples
+            gs = g.eval_shifted(k * theta) if k != 0 else g.samples
             key = k + j
             if key in acc:
                 acc[key] += fa * gs
@@ -326,11 +348,10 @@ def banded_mul(a: BandedElement, b: BandedElement) -> BandedElement:
 def star_banded(a: BandedElement) -> BandedElement:
     """Adjoint: band j of a* is conj(f_{-j}(x - j theta))."""
     theta = a.context.theta
-    x = grid(a.n)
     out: dict[int, CircleFunction] = {}
     for k, f in a.bands.items():
         j = -k
-        samples = np.conj(f.eval_at(x - j * theta)) if j != 0 else np.conj(f.samples)
+        samples = np.conj(f.eval_shifted(j * theta)) if j != 0 else np.conj(f.samples)
         exact = f.exact.shifted(-j * theta).conjugated() if f.exact is not None else None
         out[j] = CircleFunction(samples, exact)
     return BandedElement(a.context, out, a.n)
@@ -359,7 +380,7 @@ def supdiff(a: BandedElement, b: BandedElement) -> float:
     keys = set(a.bands) | set(b.bands)
     out = 0.0
     for k in keys:
-        out = max(out, float(np.max(np.abs(a.band(k).samples - b.band(k).samples))))
+        out = max(out, float(np.abs(a.band(k).samples - b.band(k).samples).max()))
     return out
 
 
@@ -380,7 +401,7 @@ def is_projection(a: BandedElement, tol: float = 1e-10) -> ProjectionReport:
     """Checks a^2 = a and a* = a in grid sup-norm, with per-band residuals."""
     sq = banded_mul(a, a)
     diff = sq - a
-    band_res = {k: f.sup() for k, f in sorted(diff.bands.items())}
+    band_res = diff.band_sups()
     for k in sorted(set(a.bands) | set(sq.bands)):
         band_res.setdefault(k, 0.0)
     sup_sq = max(band_res.values(), default=0.0)

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from .banded import (
     RieffelProjectionSpec,
+    _frac,
     banded_mul,
     build_rieffel_projection,
     is_projection,
@@ -34,7 +35,9 @@ from .banded import (
 )
 from .exit_times import (
     ENGINE_AGREEMENT_ALPHA,
+    MIN_MEAN_STEPS,
     ExitFamily,
+    StepCapExceeded,
     agreement_z_max,
     extract_invariants,
     gamma_estimate,
@@ -219,11 +222,6 @@ def _write_text(directory: str, name: str, text: str) -> Path:
     return path
 
 
-def _frac(x: float) -> float:
-    f = x - math.floor(x)
-    return f if f < 1.0 else 0.0
-
-
 # -- subcommands ------------------------------------------------------------------------
 
 
@@ -396,10 +394,15 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
                                   sigma2=cfg.exit_sigma2, dt=cfg.dt)
     warnings = [f"level {i}: truncation bound above 1% of gamma"
                 for i, est in enumerate(report.estimates) if est.truncation_flagged]
+    # Too few steps per mean exit make gamma and the fit wrong, not noisy.
+    coarse = [f"level {i}: mean exit in {est.mean_steps:.3g} steps, below the floor "
+              f"of {MIN_MEAN_STEPS}" for i, est in enumerate(report.estimates)
+              if est.mean_steps < MIN_MEAN_STEPS]
+    warnings += coarse
     if not report.fit.c2_resolved:
         warnings.append("c2 not resolved: H undetermined")
     summary = json.loads(report.to_json())
-    ok = True
+    ok = not coarse
     if cfg.engine == "both":
         # Independent-seed operator run; each level's z must stay below the
         # threshold that holds the family-wise false-failure rate at alpha.
@@ -545,7 +548,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_exit_asymptotics(cfg)
         if args.command == "generator-check":
             return cmd_generator_check(cfg, args.specs)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, StepCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -51,6 +51,9 @@ SURVIVAL_TRUNCATION = 1e-4
 ENGINE_CHUNK = 4096
 # A chunk that runs this many mean exit times of its level is cut off.
 MAX_MEAN_EXITS = 4096
+# A level whose mean exit takes fewer steps than this is sampled too coarsely
+# for the mid-step estimators and the one-edge bridge kill to hold.
+MIN_MEAN_STEPS = 8
 # Family-wise rate at which two correct engines fail the agreement check.
 ENGINE_AGREEMENT_ALPHA = 1e-3
 
@@ -160,6 +163,10 @@ def exit_time_oracle_exact(a: float, sigma2: float) -> float:
 # -- survival engines ---------------------------------------------------------------------
 
 
+class StepCapExceeded(RuntimeError):
+    """A chunk of paths ran past MAX_MEAN_EXITS mean exit times."""
+
+
 def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
                 dt: Optional[float], seed: int,
                 sigma2: float) -> tuple[np.ndarray, float]:
@@ -208,7 +215,7 @@ def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
         while idx.size:
             step += 1
             if step > max_steps:
-                raise RuntimeError("exit-time simulation exceeded the step cap")
+                raise StepCapExceeded("exit-time simulation exceeded the step cap")
             w_next = w + rng.normal(size=idx.size) * step_scale
             u = rng.random(size=idx.size)
             crossed = (np.exp(-kill_rate * (hi - w) * (hi - w_next))

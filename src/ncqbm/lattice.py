@@ -20,19 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .banded import (BandedElement, RieffelProjectionSpec, banded_mul,
-                     build_rieffel_projection, indicator_banded, star_banded,
-                     supdiff, translate_action)
-
-
-def _frac(x: float) -> float:
-    f = x - math.floor(x)
-    # x - floor(x) rounds to 1.0 for tiny negative x; fold back into [0, 1).
-    return f if f < 1.0 else 0.0
+from .banded import (BandedElement, CircleFunction, RieffelProjectionSpec, _frac,
+                     banded_mul, build_rieffel_projection, indicator_banded,
+                     star_banded, supdiff, translate_action)
 
 
 def _circle_dist(a: float, b: float) -> float:
@@ -143,7 +137,7 @@ def plateau_set(spec: RieffelProjectionSpec) -> IntervalSet:
 
 @dataclass
 class MeetReport:
-    result: Union[BandedElement, IntervalSet]
+    result: BandedElement
     iterations: int
     final_residual: float
     converged: bool
@@ -151,19 +145,14 @@ class MeetReport:
     hermitian_defect: float
 
     def to_json(self) -> str:
-        if isinstance(self.result, IntervalSet):
-            arcs = [[a, b] for a, b in self.result.arcs]
-            estimated = False
-        else:
-            arcs = [[a, b] for a, b in
-                    threshold_arcs(np.real(self.result.band(0).samples))]
-            estimated = True
+        arcs = threshold_arcs(np.real(self.result.band(0).samples))
         payload = {
             "iterations": self.iterations,
             "residual": self.final_residual,
             "converged": self.converged,
-            "arcs": arcs,
-            "arcs_estimated": estimated,
+            # Arcs read off the band-0 samples at level 1/2.
+            "arcs": [[a, b] for a, b in arcs],
+            "arcs_estimated": True,
             "band_sups": {str(k): v for k, v in sorted(self.band_sups.items())},
             "hermitian_defect": self.hermitian_defect,
         }
@@ -201,9 +190,10 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
     """Alternating-product meet lim (pq)^{2^k} by repeated squaring.
 
     Stops once the squaring residual ||r^2 - r|| falls below tol, but not
-    before min_iter squarings: near plateau boundaries the iterate can sit at
-    an intermediate value for many rounds with a small per-step residual, so a
-    pure residual rule can report false convergence.  Non-convergence within
+    before min_iter squarings.  A diagonal value lambda has residual
+    lambda (1 - lambda), so a value within tol of 1, such as 1 - 2^-40, passes
+    the residual rule at once although its limit is 0; the forced squarings
+    drive it down to where the residual sees it.  Non-convergence within
     max_iter is flagged on the report, not raised.
     """
     r = banded_mul(p, q)
@@ -211,8 +201,7 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
     residual = math.inf
     diverged = False
     while iterations < max_iter:
-        r2 = banded_mul(r, r)
-        residual = supdiff(r2, r)
+        r2, residual = _square(r)
         iterations += 1
         # Squaring a near-degenerate pair (no spectral gap, e.g. almost
         # identical translates) amplifies grid noise doubly exponentially;
@@ -228,6 +217,21 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
     return MeetReport(result=r, iterations=iterations, final_residual=residual,
                       converged=not diverged and residual <= tol,
                       band_sups=r.band_sups(), hermitian_defect=herm)
+
+
+def _square(r: BandedElement) -> tuple[BandedElement, float]:
+    """r r and supdiff(r r, r).  A diagonal iterate, as every meet is in its
+    last squarings, is squared on its band-0 samples: banded_mul's and
+    supdiff's float ops without their per-band bookkeeping."""
+    f = r.bands.get(0)
+    if f is None or len(r.bands) > 1:
+        r2 = banded_mul(r, r)
+        return r2, supdiff(r2, r)
+    f2 = f.samples * f.samples
+    r2 = BandedElement(r.context, {0: CircleFunction(f2)}, r.n)
+    # A dropped square leaves supdiff(0, r) = sup |f|.
+    residual = float(np.abs(f2 - f.samples).max()) if r2.bands else r.band_sups()[0]
+    return r2, residual
 
 
 # -- closed-form meet ------------------------------------------------------------------------
@@ -259,13 +263,6 @@ def meet_closed_form(spec: RieffelProjectionSpec, s: float, t: float,
             "(epsilon too large for this angle)")
     plat = plateau_set(spec)
     return plat.translate(-s).intersect(plat.translate(-s2))
-
-
-def closed_form_report(spec: RieffelProjectionSpec, s: float, t: float,
-                       s2: float, t2: float) -> MeetReport:
-    arcs = meet_closed_form(spec, s, t, s2, t2)
-    return MeetReport(result=arcs, iterations=0, final_residual=0.0,
-                      converged=True, band_sups={}, hermitian_defect=0.0)
 
 
 def compare_iterative_to_closed_form(spec: RieffelProjectionSpec, s: float, t: float,

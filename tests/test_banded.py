@@ -81,6 +81,45 @@ def test_shift_convention_lock():
     assert np.max(np.abs(prod.band(-1).samples - expected)) < 1e-14
 
 
+def random_grid_element(ctx, rng, ks, n):
+    """Grid-only bands (no exact descriptor) with random complex samples."""
+    return BandedElement(ctx, {k: CircleFunction(rng.normal(size=n) + 1j * rng.normal(size=n))
+                               for k in ks}, n)
+
+
+def test_banded_mul_grid_bands_match_eval_at_bitwise():
+    # Grid-only bands are read at x - k theta through cached stencils; the
+    # product must equal the eval_at route bit for bit.  Eleven shifts
+    # outrun the stencil cache, so the second product also reads evicted ones.
+    ctx = AlgebraContext(GOLDEN)
+    rng = np.random.default_rng(7)
+    for n in (64, 512):
+        a = random_grid_element(ctx, rng, range(-5, 6), n)
+        b = random_grid_element(ctx, rng, (-2, 0, 1, 3), n)
+        want: dict[int, np.ndarray] = {}
+        for k, f in a.bands.items():
+            for j, g in b.bands.items():
+                term = f.samples * g.eval_at(grid(n) - k * ctx.theta)
+                want[k + j] = want[k + j] + term if k + j in want else term
+        for _ in range(2):
+            got = banded_mul(a, b)
+            assert set(got.bands) == set(want)
+            for k, v in want.items():
+                assert np.array_equal(got.bands[k].samples, v)
+
+
+def test_band_sups_match_per_band_recomputation():
+    ctx = AlgebraContext(GOLDEN)
+    rng = np.random.default_rng(8)
+    a = random_grid_element(ctx, rng, (-3, -1, 0, 2), 128)
+    prod = banded_mul(a, star_banded(a))
+    for elem in (a, prod, build_rieffel_projection(RieffelProjectionSpec(GOLDEN, 0.1), 256)):
+        sups = {k: float(np.max(np.abs(f.samples))) for k, f in elem.bands.items()}
+        assert elem.band_sups() == dict(sorted(sups.items()))
+        assert list(elem.band_sups()) == sorted(elem.bands)
+        assert elem.off_diagonal_sup() == max(v for k, v in sups.items() if k != 0)
+
+
 def test_band0_indicator_product_exact():
     ctx = AlgebraContext(GOLDEN)
     n = 1024

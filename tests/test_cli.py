@@ -173,6 +173,26 @@ def test_exit_asymptotics_seed_changes_output(tmp_path):
         (tmp_path / "b" / "exit_asymptotics.csv").read_bytes()
 
 
+def test_exit_asymptotics_step_cap_is_reported_not_raised(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 1)
+    assert run(["exit-asymptotics", "--paths", "400", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "step cap" in err and "Traceback" not in err
+
+
+def test_exit_asymptotics_coarse_dt_fails_check(tmp_path):
+    # At dt = 1e-4 the deepest levels' mean exit is one to a few steps; the
+    # fit still finds a slope, so only the mean_steps floor can catch it.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[flow]\ndt = 0.0001\n[exit]\nengine = reduced\n")
+    assert run(["exit-asymptotics", "--config", str(cfg), "--paths", "2000",
+                "--out", str(tmp_path)]) == 1
+    warnings = json.loads((tmp_path / "exit_asymptotics.json").read_text())["warnings"]
+    assert any("level 5: mean exit in" in w and "below the floor of 8" in w
+               for w in warnings)
+    assert not any(w.startswith("level 0: mean exit") for w in warnings)
+
+
 def test_exit_asymptotics_analytic_branch(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[exit]\nanalytic = true\n")

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncqbm.banded import (RieffelProjectionSpec, banded_mul,
-                          build_rieffel_projection, indicator_banded,
+from ncqbm.banded import (BandedElement, CircleFunction, RieffelProjectionSpec,
+                          banded_mul, build_rieffel_projection, indicator_banded,
                           supdiff, translate_action)
-from ncqbm.lattice import (DegenerateMeet, IntervalSet, MeetReport,
+from ncqbm.lattice import (DegenerateMeet, IntervalSet, MeetReport, _square,
                            compare_iterative_to_closed_form, meet_along_path,
                            meet_closed_form, meet_pair_iterative, plateau_set,
                            threshold_arcs)
+from ncqbm.torus import AlgebraContext
 
 from oracles import matrix_meet
 
@@ -174,6 +175,54 @@ def test_commuting_indicator_meet_is_exact():
     want = indicator_banded(ctx, [(0.3, 0.5)], n)
     assert report.converged and report.final_residual == 0.0
     assert supdiff(report.result, want) == 0.0
+
+
+def diagonal(values, n=64):
+    return BandedElement(AlgebraContext(GOLDEN),
+                         {0: CircleFunction(np.asarray(values, dtype=complex))}, n)
+
+
+def test_diagonal_squaring_matches_banded_route():
+    # The band-0 shortcut must give banded_mul's square and supdiff's
+    # residual bit for bit, also when the square falls under the drop rule.
+    rng = np.random.default_rng(5)
+    for values in (rng.uniform(0.0, 1.0, 64), np.full(64, 2e-8), np.full(64, 0.5 + 0.25j)):
+        r = diagonal(values)
+        r2, residual = _square(r)
+        want = banded_mul(r, r)
+        assert set(r2.bands) == set(want.bands)
+        for k in want.bands:
+            assert np.array_equal(r2.bands[k].samples, want.bands[k].samples)
+        assert residual == supdiff(want, r)
+
+
+def test_forced_squarings_clear_values_near_one():
+    # lambda = 1 - 2^-40 has residual lambda (1 - lambda) ~ 9e-13 < tol at the
+    # first squaring, yet its limit is 0: the min_iter floor must get it there.
+    near_one = 1.0 - 2.0 ** -40
+    values = np.zeros(64)
+    values[10:30] = 1.0
+    values[[12, 20, 40]] = near_one
+    p = diagonal(values)
+    q = BandedElement.identity(p.context, 64)
+    report = meet_pair_iterative(p, q)
+    f = np.real(report.result.band(0).samples)
+    assert report.converged and report.iterations == 60
+    assert np.all(f[[12, 20, 40]] == 0.0)
+    assert np.all(f[[10, 11, 13, 29]] == 1.0)
+    # Without the floor the residual rule stops at once, next to 1.
+    early = meet_pair_iterative(p, q, min_iter=1)
+    assert early.iterations == 1
+    assert np.real(early.result.band(0).samples[12]) > 0.5
+
+
+def test_diagonal_value_above_one_diverges():
+    values = np.zeros(64)
+    values[5] = 1.5
+    report = meet_pair_iterative(diagonal(values), diagonal(np.ones(64)))
+    assert not report.converged
+    assert report.iterations < 60
+    assert all(math.isfinite(v) for v in report.band_sups.values())
 
 
 def test_meet_report_json():
