@@ -19,10 +19,8 @@ descending ramp, with trace equal to the effective rotation angle.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -511,29 +509,3 @@ def indicator_banded(context: AlgebraContext, arcs: Iterable[tuple[float, float]
         return BandedElement(context, {}, n)
     return BandedElement(context,
                          {0: CircleFunction.from_exact(ExactPiecewise(pieces), n)}, n)
-
-
-# -- serialization -----------------------------------------------------------------------------
-
-
-def circle_to_csv(f: CircleFunction) -> str:
-    """CSV rows 'index,re,im', one per grid sample."""
-    lines = ["index,re,im"]
-    for i, v in enumerate(f.samples):
-        lines.append(f"{i},{v.real!r},{v.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
-def save_banded(a: BandedElement, directory: str | Path, basename: str) -> Path:
-    """Writes one CSV per band plus a JSON manifest mapping k -> CSV filename."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest: dict[str, str] = {}
-    for k in sorted(a.bands):
-        fname = f"{basename}_band_{k}.csv"
-        (directory / fname).write_text(circle_to_csv(a.bands[k]))
-        manifest[str(k)] = fname
-    meta = {"theta": a.context.theta, "n": a.n, "bands": manifest}
-    path = directory / f"{basename}.json"
-    path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    return path

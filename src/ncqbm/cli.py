@@ -399,10 +399,12 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
               f"of {MIN_MEAN_STEPS}" for i, est in enumerate(report.estimates)
               if est.mean_steps < MIN_MEAN_STEPS]
     warnings += coarse
-    if not report.fit.c2_resolved:
+    if report.fit is None:
+        warnings.append(f"fit failed: {report.fit_error}")
+    elif not report.fit.c2_resolved:
         warnings.append("c2 not resolved: H undetermined")
     summary = json.loads(report.to_json())
-    ok = not coarse
+    ok = not coarse and report.fit is not None
     if cfg.engine == "both":
         # Independent-seed operator run; each level's z must stay below the
         # threshold that holds the family-wise false-failure rate at alpha.
@@ -427,9 +429,9 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
     csv_path = _write_text(cfg.out, "exit_asymptotics.csv", report.to_csv())
     json_path = _write_text(cfg.out, "exit_asymptotics.json",
                             json.dumps(summary, sort_keys=True) + "\n")
-    print(f"exit-asymptotics: n0={report.fit.n0} slope={report.fit.slope:.3f} "
-          f"c1={report.fit.c1:.5f} d={report.invariants.d:.3f} -> "
-          f"{'OK' if ok else 'FAIL'} ({csv_path}, {json_path})")
+    result = (f"n0={report.fit.n0} slope={report.fit.slope:.3f} c1={report.fit.c1:.5f} "
+              f"d={report.invariants.d:.3f}" if report.fit is not None else report.fit_error)
+    print(f"exit-asymptotics: {result} -> {'OK' if ok else 'FAIL'} ({csv_path}, {json_path})")
     return 0 if ok else 1
 
 

@@ -347,6 +347,10 @@ def agreement_z_max(levels: int) -> float:
 # -- asymptotics ------------------------------------------------------------------------------
 
 
+class NoAsymptoticDetected(ValueError):
+    """The estimates follow no power law gamma ~ c1 v^{2/n0} with n0 in 1..6."""
+
+
 @dataclass
 class AsymptoticsFit:
     slope: float
@@ -396,7 +400,8 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
     n0 = min(range(1, 7), key=lambda n: abs(slope - 2.0 / n))
     residual = abs(slope - 2.0 / n0)
     if residual > 0.25:
-        raise ValueError(f"no asymptotic detected: slope {slope:.3f} is not near 2/n0")
+        raise NoAsymptoticDetected(
+            f"no asymptotic detected: slope {slope:.3f} is not near 2/n0")
     design = np.column_stack([vs ** (2.0 / n0), vs ** (4.0 / n0)])
     wls = np.ones(len(vs))
     wls[has_err] = 1.0 / ss[has_err] ** 2
@@ -525,9 +530,11 @@ def classical_circle_benchmark(eps_list: Optional[Sequence[float]] = None,
 class AsymptoticsReport:
     family: ExitFamily
     estimates: list[GammaEstimate]
-    fit: AsymptoticsFit
-    invariants: InvariantReport
+    # None, with the reason in fit_error, when the estimates show no power law.
+    fit: Optional[AsymptoticsFit]
+    invariants: Optional[InvariantReport]
     series: SeriesCheck
+    fit_error: Optional[str] = None
 
     def to_csv(self) -> str:
         lines = ["n,k_n,v_n,gamma_n,stderr"]
@@ -540,15 +547,6 @@ class AsymptoticsReport:
         payload = {
             "theta": self.family.theta,
             "engine": self.estimates[0].engine if self.estimates else None,
-            "slope": self.fit.slope,
-            "n0": self.fit.n0,
-            "c1": self.fit.c1,
-            "c2": self.fit.c2,
-            "c2_stderr": self.fit.c2_stderr,
-            "d": self.invariants.d,
-            "H": self.invariants.h,
-            "H_squared": self.invariants.h_squared,
-            "H_imaginary": self.invariants.h_imaginary,
             "series_check": {
                 "c2": self.series.c2,
                 "c2_reference": self.series.reference_c2,
@@ -557,6 +555,18 @@ class AsymptoticsReport:
                 "c4_reference": self.series.reference_c4,
             },
         }
+        if self.fit is not None:
+            payload.update({
+                "slope": self.fit.slope,
+                "n0": self.fit.n0,
+                "c1": self.fit.c1,
+                "c2": self.fit.c2,
+                "c2_stderr": self.fit.c2_stderr,
+                "d": self.invariants.d,
+                "H": self.invariants.h,
+                "H_squared": self.invariants.h_squared,
+                "H_imaginary": self.invariants.h_imaginary,
+            })
         return json.dumps(payload, sort_keys=True)
 
 
@@ -564,10 +574,19 @@ def run_exit_asymptotics(family: ExitFamily, engine: str = "reduced",
                          n_paths: int = 10_000, seed: int = 0,
                          sigma2: float = DEFAULT_SIGMA2,
                          dt: Optional[float] = None) -> AsymptoticsReport:
-    """Estimates gamma over the family, fits the power law, extracts invariants."""
+    """Estimates gamma over the family, fits the power law, extracts invariants.
+
+    Estimates without a power law are a result, not an error: the report
+    then has no fit and says why in fit_error.
+    """
     estimates = [gamma_estimate(family, i, engine, n_paths, dt, seed + i, sigma2)
                  for i in range(len(family.levels))]
-    fit = fit_asymptotics([(e.v, e.gamma, e.stderr) for e in estimates])
-    invariants = extract_invariants(fit.n0, fit.c1, fit.c2)
+    fit = invariants = error = None
+    try:
+        fit = fit_asymptotics([(e.v, e.gamma, e.stderr) for e in estimates])
+        invariants = extract_invariants(fit.n0, fit.c1, fit.c2)
+    except NoAsymptoticDetected as exc:
+        error = str(exc)
     return AsymptoticsReport(family=family, estimates=estimates, fit=fit,
-                             invariants=invariants, series=paper_series_check())
+                             invariants=invariants, series=paper_series_check(),
+                             fit_error=error)

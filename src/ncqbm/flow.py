@@ -120,14 +120,6 @@ def sample_path(dim: int, horizon: float, dt: float, sigma2: float,
     return BrownianPath(times, values, sigma2, seed)
 
 
-def path_to_csv(path: BrownianPath) -> str:
-    header = "t," + ",".join(f"w{i + 1}" for i in range(path.dim))
-    lines = [header]
-    for t, row in zip(path.times, path.values):
-        lines.append(f"{t!r}," + ",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 # -- the flow and its expectation ----------------------------------------------------------
 
 
@@ -148,11 +140,6 @@ class SemigroupSpec:
     @property
     def drift_vector(self) -> tuple[float, float]:
         return self.drift if self.drift is not None else (0.0, 0.0)
-
-
-def is_symmetric_generator(spec: SemigroupSpec) -> bool:
-    """True when there is no drift: the generator is symmetric for the trace."""
-    return spec.drift_vector == (0.0, 0.0)
 
 
 def flow_apply(a: TorusElement, path: BrownianPath, t: float) -> TorusElement:

@@ -17,6 +17,14 @@ Schurmann machinery (counit, cocycle, generating functional extended over
 free *-monomials) is implemented far enough to verify the defining
 identities on low-degree words, and convolution exponentials on matrix
 coalgebras reduce to matrix exponentials.
+
+Solution-space dimensions are ranks of sparse relation rows ({column:
+value} maps).  The rows are never made dense at full width: columns that
+share a row are joined into blocks, and the rank is the sum of the blocks'
+dense ranks at the absolute tolerance RANK_TOL.  A matrix that is
+block-diagonal up to a permutation has its blocks' singular values, so this
+is the rank of the full matrix at the same tolerance.  Matrix exponentials
+use scaling and squaring with a degree-18 Taylor polynomial, in numpy.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import re as _re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +42,7 @@ PSD_TOL = 1e-10
 INVERTIBLE_TOL = 1e-10
 REAL_TOL = 1e-12
 CONSTRAINT_TOL = 1e-10
+RANK_TOL = 1e-8
 
 
 # -- torus ---------------------------------------------------------------------------
@@ -265,14 +275,13 @@ def gaussian_third_order_residual(triple: SchurmannTriple,
 class OThetaSchurmann:
     P: np.ndarray
     triple: SchurmannTriple
-    degree_two_table: dict
     roundtrip_residual: float
 
 
 def build_otheta_schurmann(g: OThetaGeneratorSpec) -> OThetaSchurmann:
-    """Cocycle coordinate matrix P = B^{1/2} and l on all words of length <= 2.
+    """Cocycle coordinate matrix P = B^{1/2} and the Schurmann triple on it.
 
-    The table reconstructs l(a^i*_i a^j_j) = A_ij; the maximum deviation is
+    l(a^i*_i a^j_j) must reconstruct A_ij; the maximum deviation is
     reported as the round-trip residual.
     """
     B = otheta_noise_form(g)
@@ -282,20 +291,11 @@ def build_otheta_schurmann(g: OThetaGeneratorSpec) -> OThetaSchurmann:
     P = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     triple = SchurmannTriple(g.z_vector(), P)
     m = g.size
-    tokens = [(i, j, star) for i in range(m) for j in range(m)
-              for star in (False, True)]
-    table: dict = {}
-    for t in tokens:
-        table[(t,)] = triple.l((t,))
-    for t1 in tokens:
-        for t2 in tokens:
-            table[(t1, t2)] = triple.l((t1, t2))
     A = g.a_matrix()
     residual = max(
-        abs(table[((i, i, True), (j, j, False))] - A[i, j])
+        abs(triple.l(((i, i, True), (j, j, False))) - A[i, j])
         for i in range(m) for j in range(m))
-    return OThetaSchurmann(P=P, triple=triple, degree_two_table=table,
-                           roundtrip_residual=float(residual))
+    return OThetaSchurmann(P=P, triple=triple, roundtrip_residual=float(residual))
 
 
 # -- free orthogonal family -------------------------------------------------------------------
@@ -526,56 +526,79 @@ def solve_biinvariant_oplus(n: int, include_biinvariance: bool = True) -> Biinva
 
     rows = []
     for (i, j) in pairs:
-        row = np.zeros(n_unknowns, dtype=complex)
-        row[l_col(i, j)] += 1.0
-        row[l_col(j, i)] += 1.0
-        for k in range(0, i):
-            row[a_col(index[(k, i)], index[(k, j)])] += 1.0
-        for k in range(i + 1, j):
-            row[a_col(index[(i, k)], index[(k, j)])] -= 1.0
-        for k in range(j + 1, m):
-            row[a_col(index[(i, k)], index[(j, k)])] += 1.0
-        rows.append(row)
+        entries = [(l_col(i, j), 1.0), (l_col(j, i), 1.0)]
+        entries += [(a_col(index[(k, i)], index[(k, j)]), 1.0) for k in range(0, i)]
+        entries += [(a_col(index[(i, k)], index[(k, j)]), -1.0) for k in range(i + 1, j)]
+        entries += [(a_col(index[(i, k)], index[(j, k)]), 1.0) for k in range(j + 1, m)]
+        rows.append(_row(*entries))
     for i in range(m):
-        row = np.zeros(n_unknowns, dtype=complex)
-        row[l_col(i, i)] += 2.0
-        for k in range(m):
-            if k != i:
-                p = index[(min(i, k), max(i, k))]
-                row[a_col(p, p)] += 1.0
-        rows.append(row)
+        diag = [index[(min(i, k), max(i, k))] for k in range(m) if k != i]
+        rows.append(_row((l_col(i, i), 2.0), *[(a_col(p, p), 1.0) for p in diag]))
     if include_biinvariance:
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    row = np.zeros(n_unknowns, dtype=complex)
-                    row[l_col(i, j)] = 1.0
-                    rows.append(row)
-        for p in range(npairs):
-            for q in range(npairs):
-                row = np.zeros(n_unknowns, dtype=complex)
-                row[a_col(p, q)] = 1.0
-                rows.append(row)
+        rows += [_row((l_col(i, j), 1.0)) for i in range(m) for j in range(m) if i != j]
+        rows += [_row((a_col(p, q), 1.0)) for p in range(npairs) for q in range(npairs)]
 
-    system = np.array(rows)
-    rank = int(np.linalg.matrix_rank(system, tol=1e-8))
+    rank = _rank(rows, n_unknowns)
     return BiinvariantSolution(n=n, dimension=n_unknowns - rank,
                                n_unknowns=n_unknowns,
                                n_constraints=len(rows), rank=rank,
                                include_biinvariance=include_biinvariance)
 
 
+# -- sparse relation rows ---------------------------------------------------------------------
+
+
+def _row(*entries: tuple[int, complex]) -> dict:
+    """Sparse row {column: value}; entries on the same column add up."""
+    row: dict = defaultdict(complex)
+    for col, value in entries:
+        row[col] += value
+    return row
+
+
+def _rank(rows: Sequence[dict], n_unknowns: int) -> int:
+    """Rank at the absolute tolerance RANK_TOL of sparse rows over n_unknowns columns.
+
+    Only exact zeros are dropped: a coefficient 1 - lam_ij lam_ji can be one
+    ulp off zero, and the dense rank sees it too.  A union-find joins the
+    columns that share a row; each block of rows is ranked densely.
+    """
+    parent = list(range(n_unknowns))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    kept = []
+    for row in rows:
+        row = {c: v for c, v in row.items() if v != 0}
+        if row:
+            first, *rest = row
+            root = find(first)
+            for c in rest:
+                parent[find(c)] = root
+            kept.append(row)
+    blocks: dict = defaultdict(list)
+    for row in kept:
+        blocks[find(next(iter(row)))].append(row)
+    rank = 0
+    for block in blocks.values():
+        local = {c: k for k, c in enumerate({c for row in block for c in row})}
+        dense = np.zeros((len(block), len(local)), dtype=complex)
+        for r, row in enumerate(block):
+            for c, v in row.items():
+                dense[r, local[c]] = v
+        rank += int(np.linalg.matrix_rank(dense, tol=RANK_TOL))
+    return rank
+
+
 # -- epsilon-derivation dimensions ----------------------------------------------------------------
 
 
-def _nullspace_dim(system: np.ndarray, n_unknowns: int) -> int:
-    if len(system) == 0:
-        return n_unknowns
-    return n_unknowns - int(np.linalg.matrix_rank(system, tol=1e-8))
-
-
-def _otheta_derivation_system(n: int) -> tuple[np.ndarray, int]:
-    """Constraint system on (c, c_hat, d, d_hat) from the deformed relations.
+def _otheta_derivation_system(n: int) -> tuple[list[dict], int]:
+    """Constraint rows on (c, c_hat, d, d_hat) from the deformed relations.
 
     A generic deformation matrix (fixed seed) realizes the irrational-angle
     situation; the surviving solutions are diagonal c with c_hat = -c and
@@ -586,7 +609,7 @@ def _otheta_derivation_system(n: int) -> tuple[np.ndarray, int]:
     upper = rng.uniform(0.07, 0.43, size=(m, m))
     theta = np.triu(upper, 1)
     theta = theta - theta.T
-    lam = np.exp(2j * np.pi * theta)
+    lam = np.exp(2j * np.pi * theta).tolist()
 
     n_unknowns = 4 * m * m
 
@@ -608,70 +631,38 @@ def _otheta_derivation_system(n: int) -> tuple[np.ndarray, int]:
         for nu in rng_idx:
             for tau in rng_idx:
                 for rho in rng_idx:
-                    factor = lam[mu, tau] * lam[rho, nu]
-                    # a a commutation
-                    row = np.zeros(n_unknowns, dtype=complex)
+                    f = 1.0 - lam[mu][tau] * lam[rho][nu]
+                    f2 = 1.0 - lam[tau][mu] * lam[nu][rho]
+                    # a a, a b, a a* and a b* commutations
+                    aa, ab, aas, abs_ = [], [], [], []
                     if tau == rho:
-                        row[c_col(mu, nu)] += 1.0 - factor
+                        aa.append((c_col(mu, nu), f))
+                        aas.append((c_col(mu, nu), f2))
                     if mu == nu:
-                        row[c_col(tau, rho)] += 1.0 - factor
-                    rows.append(row)
-                    # a b commutation
-                    row = np.zeros(n_unknowns, dtype=complex)
-                    if mu == nu:
-                        row[d_col(tau, rho)] += 1.0 - factor
-                    rows.append(row)
-                    factor2 = lam[tau, mu] * lam[nu, rho]
-                    # a a* commutation
-                    row = np.zeros(n_unknowns, dtype=complex)
-                    if tau == rho:
-                        row[c_col(mu, nu)] += 1.0 - factor2
-                    if mu == nu:
-                        row[chat_col(tau, rho)] += 1.0 - factor2
-                    rows.append(row)
-                    # a b* commutation
-                    row = np.zeros(n_unknowns, dtype=complex)
-                    if mu == nu:
-                        row[dhat_col(tau, rho)] += 1.0 - factor2
-                    rows.append(row)
+                        aa.append((c_col(tau, rho), f))
+                        ab.append((d_col(tau, rho), f))
+                        aas.append((chat_col(tau, rho), f2))
+                        abs_.append((dhat_col(tau, rho), f2))
+                    rows += [_row(*aa), _row(*ab), _row(*aas), _row(*abs_)]
     for alpha in rng_idx:
         for beta in rng_idx:
-            row = np.zeros(n_unknowns, dtype=complex)
-            row[chat_col(beta, alpha)] += 1.0
-            row[c_col(alpha, beta)] += 1.0
-            rows.append(row)
-            row = np.zeros(n_unknowns, dtype=complex)
-            row[d_col(alpha, beta)] += 1.0
-            row[d_col(beta, alpha)] += 1.0
-            rows.append(row)
-            row = np.zeros(n_unknowns, dtype=complex)
-            row[dhat_col(alpha, beta)] += 1.0
-            row[dhat_col(beta, alpha)] += 1.0
-            rows.append(row)
-    return np.array(rows), n_unknowns
+            rows.append(_row((chat_col(beta, alpha), 1.0), (c_col(alpha, beta), 1.0)))
+            rows.append(_row((d_col(alpha, beta), 1.0), (d_col(beta, alpha), 1.0)))
+            rows.append(_row((dhat_col(alpha, beta), 1.0), (dhat_col(beta, alpha), 1.0)))
+    return rows, n_unknowns
 
 
-def _oplus_derivation_system(n: int) -> tuple[np.ndarray, int]:
+def _oplus_derivation_system(n: int) -> tuple[list[dict], int]:
     """eta(x_ij) + eta(x_ji) = 0 from the orthogonality relations."""
     m = 2 * n
-    n_unknowns = m * m
-    rows = []
-    for i in range(m):
-        for j in range(i, m):
-            row = np.zeros(n_unknowns, dtype=complex)
-            row[i * m + j] += 1.0
-            row[j * m + i] += 1.0
-            rows.append(row)
-    return np.array(rows), n_unknowns
+    rows = [_row((i * m + j, 1.0), (j * m + i, 1.0))
+            for i in range(m) for j in range(i, m)]
+    return rows, m * m
 
 
-def _torus_derivation_system() -> tuple[np.ndarray, int]:
+def _torus_derivation_system() -> tuple[list[dict], int]:
     """Unitarity relations on (c_U, c_U*, c_V, c_V*) for the plain torus."""
-    rows = [
-        np.array([1.0, 1.0, 0.0, 0.0], dtype=complex),
-        np.array([0.0, 0.0, 1.0, 1.0], dtype=complex),
-    ]
-    return np.array(rows), 4
+    return [_row((0, 1.0), (1, 1.0)), _row((2, 1.0), (3, 1.0))], 4
 
 
 def epsilon_derivation_dim(group: str, verify: bool = False) -> int:
@@ -684,24 +675,20 @@ def epsilon_derivation_dim(group: str, verify: bool = False) -> int:
     group = group.strip().lower()
     m = _re.fullmatch(r"(otheta|oplus)\((\d+)\)", group)
     if group == "torus":
-        expected = 2
-        if verify:
-            mat, unknowns = _torus_derivation_system()
-            computed = _nullspace_dim(mat, unknowns)
-            if computed != expected:
-                raise RuntimeError(
-                    f"derivation null space has dimension {computed}, expected {expected}")
-        return expected
-    if m is None:
+        expected, system = 2, _torus_derivation_system
+    elif m is None:
         raise ValueError("group must be 'otheta(n)', 'oplus(n)' or 'torus'")
-    kind, n = m.group(1), int(m.group(2))
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    expected = 2 * n if kind == "otheta" else n * (2 * n - 1)
+    else:
+        kind, n = m.group(1), int(m.group(2))
+        if n < 1:
+            raise ValueError("n must be a positive integer")
+        if kind == "otheta":
+            expected, system = 2 * n, lambda: _otheta_derivation_system(n)
+        else:
+            expected, system = n * (2 * n - 1), lambda: _oplus_derivation_system(n)
     if verify:
-        mat, unknowns = (_otheta_derivation_system(n) if kind == "otheta"
-                         else _oplus_derivation_system(n))
-        computed = _nullspace_dim(mat, unknowns)
+        rows, unknowns = system()
+        computed = unknowns - _rank(rows, unknowns)
         if computed != expected:
             raise RuntimeError(
                 f"derivation null space has dimension {computed}, expected {expected}")
@@ -731,15 +718,24 @@ def convolution_exp(C: CoalgebraMatrix, t: float) -> np.ndarray:
     """Convolution exponential of t*l on a matrix corepresentation.
 
     The coproduct of a matrix corepresentation turns convolution powers into
-    matrix powers, so the exponential series is the matrix exponential.
+    matrix powers, so the exponential series is the matrix exponential.  It
+    is computed by scaling and squaring: X = t*L is halved s times until
+    ||X / 2^s||_1 <= 1/2, where the Taylor series to degree 18 leaves a
+    remainder below 1e-22, and the sum is squared s times.
     """
-    # Imported here: scipy.linalg is the slowest import of the package, and
-    # nothing else needs it.
-    from scipy.linalg import expm
-
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    return expm(t * C.matrix())
+    X = t * C.matrix()
+    norm = float(np.abs(X).sum(axis=0).max())
+    s = 0 if norm <= 0.5 else math.frexp(norm)[1] + 1
+    Y = X / 2.0 ** s
+    eye = np.eye(C.d, dtype=complex)
+    E = eye
+    for k in range(18, 0, -1):
+        E = eye + (Y @ E) / k
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 # -- JSON interface --------------------------------------------------------------------------------

@@ -7,10 +7,9 @@ import pytest
 
 from ncqbm.banded import (BandedElement, CircleFunction, ExactPiecewise, Piece,
                           RieffelProjectionSpec, banded_mul,
-                          build_rieffel_projection, circle_to_csv, grid,
-                          indicator_banded, is_projection, member_of_X,
-                          save_banded, star_banded, supdiff, trace_banded,
-                          translate_action)
+                          build_rieffel_projection, grid, indicator_banded,
+                          is_projection, member_of_X, star_banded, supdiff,
+                          trace_banded, translate_action)
 from ncqbm.torus import AlgebraContext, TorusElement, mul, star
 
 from oracles import synthesize_band
@@ -244,21 +243,6 @@ def test_hermitian_three_band_class_closed_under_squaring():
     # pairing slope is ~1/half, so the residual is O(slope / n).
     report = member_of_X(sq, tol=5.0 / (half * n))
     assert report.member, (report.far_band_sup, report.pairing_residual)
-
-
-def test_serialization_round_trip(tmp_path):
-    p = build_rieffel_projection(RieffelProjectionSpec(GOLDEN, 0.2), n=64)
-    manifest = save_banded(p, tmp_path, "proj")
-    assert manifest.exists()
-    text = circle_to_csv(p.band(0))
-    lines = text.strip().split("\n")
-    assert lines[0] == "index,re,im"
-    assert len(lines) == 65
-    import json
-    meta = json.loads(manifest.read_text())
-    assert set(meta["bands"]) == {"-1", "0", "1"}
-    for fname in meta["bands"].values():
-        assert (tmp_path / fname).exists()
 
 
 def test_nonfinite_bands_are_not_dropped():

@@ -193,6 +193,24 @@ def test_exit_asymptotics_coarse_dt_fails_check(tmp_path):
     assert not any(w.startswith("level 0: mean exit") for w in warnings)
 
 
+def test_exit_asymptotics_unfittable_estimates_fail_check(tmp_path):
+    # At dt = 1e-3 every level is below the step floor and the deepest paths
+    # all die in step 1, so gamma stops following any power law.  The run is
+    # a failed check with both reasons, not an input error without output.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[flow]\ndt = 0.001\n[exit]\nengine = reduced\n")
+    assert run(["exit-asymptotics", "--config", str(cfg), "--paths", "2000",
+                "--out", str(tmp_path)]) == 1
+    rows = (tmp_path / "exit_asymptotics.csv").read_text().strip().split("\n")
+    assert rows[0] == "n,k_n,v_n,gamma_n,stderr" and len(rows) == 7
+    payload = json.loads((tmp_path / "exit_asymptotics.json").read_text())
+    warnings = payload["warnings"]
+    for i in range(6):
+        assert any(w.startswith(f"level {i}: mean exit in") for w in warnings)
+    assert warnings[-1].startswith("fit failed: no asymptotic detected")
+    assert "d" not in payload and "c1" not in payload
+
+
 def test_exit_asymptotics_analytic_branch(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[exit]\nanalytic = true\n")

@@ -8,8 +8,7 @@ import pytest
 
 from ncqbm.flow import (BrownianPath, SemigroupSpec, flow_apply,
                         flow_torus_generator, heat_multiplier,
-                        heat_semigroup_exact, is_symmetric_generator,
-                        path_to_csv, sample_path, stream_rng,
+                        heat_semigroup_exact, sample_path, stream_rng,
                         vacuum_expectation_mc)
 from ncqbm.torus import AlgebraContext, TorusElement, act, mul, star, trace
 
@@ -51,14 +50,6 @@ def test_refine_preserves_points_and_law():
     mids = np.array([p.values[1::2] - (p.values[0:-1:2] + p.values[2::2]) / 2.0
                      for p in paths])
     assert np.var(mids) == pytest.approx(0.125 / 4.0, rel=0.2)
-
-
-def test_path_csv():
-    path = sample_path(2, 0.02, 0.01, 1.0, seed=1)
-    text = path_to_csv(path)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,w1,w2"
-    assert len(lines) == 4
 
 
 # -- flow ---------------------------------------------------------------------------
@@ -154,10 +145,7 @@ def test_complete_positivity_witness():
         assert eigs.min() > -1e-12
 
 
-def test_symmetric_generator_flag():
-    assert is_symmetric_generator(SemigroupSpec(1.0))
-    assert is_symmetric_generator(SemigroupSpec(1.0, drift=(0.0, 0.0)))
-    assert not is_symmetric_generator(SemigroupSpec(1.0, drift=(0.1, 0.0)))
+def test_semigroup_spec_rejects_nonpositive_sigma2():
     with pytest.raises(ValueError):
         SemigroupSpec(0.0)
 

@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncqbm import generators
 from ncqbm.flow import SemigroupSpec, flow_torus_generator
 from ncqbm.generators import (
     CoalgebraMatrix,
@@ -339,6 +341,78 @@ def test_derivation_dimension_nullspace_verification():
     assert epsilon_derivation_dim("oplus(3)", verify=True) == 15
 
 
+def _dense_rank(rows, n_unknowns):
+    dense = np.zeros((len(rows), n_unknowns), dtype=complex)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            dense[r, c] += v
+    return int(np.linalg.matrix_rank(dense, tol=1e-8))
+
+
+DERIVATION_SYSTEMS = {
+    **{f"otheta({n})": lambda n=n: generators._otheta_derivation_system(n) for n in (1, 2, 3)},
+    **{f"oplus({n})": lambda n=n: generators._oplus_derivation_system(n) for n in (1, 2, 3)},
+    "torus": generators._torus_derivation_system,
+}
+
+
+@pytest.mark.parametrize("group", sorted(DERIVATION_SYSTEMS))
+def test_block_rank_matches_dense_rank(group):
+    rows, n_unknowns = DERIVATION_SYSTEMS[group]()
+    assert generators._rank(rows, n_unknowns) == _dense_rank(rows, n_unknowns)
+
+
+@pytest.mark.parametrize("include_biinvariance", [True, False])
+def test_biinvariant_block_rank_matches_dense_rank(monkeypatch, include_biinvariance):
+    seen = []
+    rank = generators._rank
+
+    def recording_rank(rows, n_unknowns):
+        seen.append(_dense_rank(rows, n_unknowns))
+        return rank(rows, n_unknowns)
+
+    monkeypatch.setattr(generators, "_rank", recording_rank)
+    for n in (1, 2, 3):
+        sol = solve_biinvariant_oplus(n, include_biinvariance)
+        assert sol.rank == seen[-1]
+    assert len(seen) == 3
+
+
+def test_block_rank_keeps_tiny_links():
+    # Column 2 is linked to columns {0, 1} only through a 1e-16 entry.  The
+    # link row differs from {2: 1} by that entry, so the two have rank 1 at
+    # tol 1e-8; ranking them in separate blocks would count 2.  Column 3
+    # holds only an exact zero and joins no block.
+    rows = [{0: 1.0, 1: 1.0}, {1: 1e-16, 2: 1.0}, {2: 1.0}, {3: 0.0}]
+    assert generators._rank(rows, 4) == _dense_rank(rows, 4) == 2
+    assert generators._rank([{0: 0.0}], 1) == 0
+
+
+def test_derivation_verification_fails_without_a_relation_family(monkeypatch):
+    build = generators._otheta_derivation_system
+
+    def without_symmetry_relations(n):
+        # Drops the closing family: c_hat = -c^T and antisymmetric d, d_hat.
+        rows, n_unknowns = build(n)
+        return rows[:-3 * (2 * n) ** 2], n_unknowns
+
+    monkeypatch.setattr(generators, "_otheta_derivation_system", without_symmetry_relations)
+    assert epsilon_derivation_dim("otheta(2)") == 4
+    with pytest.raises(RuntimeError, match="expected 4"):
+        epsilon_derivation_dim("otheta(2)", verify=True)
+
+
+def test_derivation_systems_stay_small_in_memory():
+    tracemalloc.start()
+    try:
+        epsilon_derivation_dim("otheta(4)", verify=True)
+        solve_biinvariant_oplus(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2 ** 20
+
+
 def test_derivation_dimension_parse_errors():
     with pytest.raises(ValueError):
         epsilon_derivation_dim("su(2)")
@@ -351,7 +425,7 @@ def test_derivation_dimension_parse_errors():
 
 def test_convolution_exp_identity_at_zero():
     C = CoalgebraMatrix(d=3, Lmat=tuple(map(tuple, np.diag([1.0, 2.0, -1.0]))))
-    assert np.allclose(convolution_exp(C, 0.0), np.eye(3))
+    assert np.array_equal(convolution_exp(C, 0.0), np.eye(3))
 
 
 def test_convolution_exp_group_like():
@@ -370,6 +444,35 @@ def test_convolution_exp_semigroup_law():
     lhs = convolution_exp(C, s) @ convolution_exp(C, t)
     rhs = convolution_exp(C, s + t)
     assert np.linalg.norm(lhs - rhs) < 1e-10
+
+
+def test_convolution_exp_jordan_block():
+    a = -0.7 + 2.0j
+    C = CoalgebraMatrix(d=2, Lmat=((a, 1.0), (0.0, a)))
+    for t in (0.3, 2.5, 10.0):
+        exact = np.exp(a * t) * np.array([[1.0, t], [0.0, 1.0]])
+        err = np.abs(convolution_exp(C, t) - exact).max() / np.abs(exact).max()
+        assert err < 1e-13
+
+
+def test_convolution_exp_diagonal():
+    lam = np.array([-3.0, 0.5 + 4.0j, -0.2 - 7.0j])
+    C = CoalgebraMatrix(d=3, Lmat=tuple(map(tuple, np.diag(lam))))
+    for t in (0.1, 1.0, 3.0):
+        got = convolution_exp(C, t)
+        assert np.abs(got - np.diag(np.exp(t * lam))).max() < 1e-14 * np.abs(got).max()
+
+
+def test_convolution_exp_diagonalizable_large_norm():
+    # V e^{t Lambda} V^{-1} with cond(V) ~ 3 and ||tC||_1 = 50: seven squarings.
+    rng = np.random.default_rng(5)
+    V = np.eye(4) + 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    lam = np.array([-1.0 + 12.0j, 0.5 - 9.0j, -0.3 + 3.0j, 0.2 - 15.0j])
+    mat = V @ np.diag(lam) @ np.linalg.inv(V)
+    t = 50.0 / np.abs(mat).sum(axis=0).max()
+    exact = V @ np.diag(np.exp(t * lam)) @ np.linalg.inv(V)
+    got = convolution_exp(CoalgebraMatrix(d=4, Lmat=tuple(map(tuple, mat))), t)
+    assert np.linalg.norm(got - exact) < 1e-12 * np.linalg.norm(exact)
 
 
 def test_convolution_exp_validation():
