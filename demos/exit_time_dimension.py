@@ -17,9 +17,8 @@ two engines below verify against each other.
 import math
 
 from ncqbm.exit_times import (ExitFamily, classical_circle_benchmark,
-                              extract_invariants, gamma_estimate,
-                              paper_series_check, run_exit_asymptotics,
-                              run_survival_comparison)
+                              extract_invariants, paper_series_check,
+                              run_exit_asymptotics, run_survival_comparison)
 
 family = ExitFamily.golden(6)
 print("level  k_n   v_n")

@@ -102,8 +102,9 @@ class ExperimentConfig:
             raise ConfigError("dt must be positive or auto")
         if self.time <= 0.0:
             raise ConfigError("time must be positive")
-        if not (1 <= self.convergent_count <= 20):
-            raise ConfigError("convergent_count must be between 1 and 20")
+        # The power-law fit needs at least 4 levels.
+        if not (4 <= self.convergent_count <= 20):
+            raise ConfigError("convergent_count must be between 4 and 20")
         if self.engine not in ("reduced", "operator", "both"):
             raise ConfigError("engine must be reduced, operator, or both")
         if self.meet_tuples < 1:
@@ -406,11 +407,12 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
     summary = json.loads(report.to_json())
     ok = not coarse and report.fit is not None
     if cfg.engine == "both":
-        # Independent-seed operator run; each level's z must stay below the
-        # threshold that holds the family-wise false-failure rate at alpha.
+        # Operator run on its own stream (tag 1), independent of the reduced
+        # run; each level's z must stay below the threshold that holds the
+        # family-wise false-failure rate at alpha.
         z_max = agreement_z_max(len(family.levels))
-        others = [gamma_estimate(family, i, "operator", cfg.exit_paths,
-                                 cfg.dt, cfg.seed + 1000 + i, cfg.exit_sigma2)
+        others = [gamma_estimate(family, i, "operator", cfg.exit_paths, cfg.dt,
+                                 cfg.seed, cfg.exit_sigma2, stream=1)
                   for i in range(len(family.levels))]
         agreement = []
         for red, op in zip(report.estimates, others):

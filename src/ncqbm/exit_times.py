@@ -9,11 +9,17 @@ the plateau by the first Brownian component, so the state survives exactly
 while the running translate keeps x_n inside: a first-exit problem for W from
 [-v_n/4, v_n/4], with closed-form mean a^2 / sigma^2 at half-width a.
 
-The paths are stepped at STEPS_PER_MEAN_EXIT = 64 steps per mean exit time.
+The paths are stepped at STEPS_PER_MEAN_EXIT = 16 steps per mean exit time.
 A step that ends inside the interval still kills the path with the
 Brownian-bridge probability of having crossed an edge between its two grid
 points (Baldi 1995; Gobet 2000), so the exit step has the law of the
-continuous-time exit and the coarse grid leaves no monitoring bias.
+continuous-time exit and the coarse grid leaves no monitoring bias.  Only
+the mid-step placement of the exit and the operator trapezoid depend on the
+grid; both err by O(dt^2), about (pi^2/8)/12/16^2 ~ 0.04% of gamma here.
+
+Every level draws from its own counter-based stream, keyed by (seed, stream
+tag, level, chunk): runs that must be independent differ in the tag, not in
+a shifted seed, so no two seeds share draws.
 
 Two Monte Carlo engines estimate the mean exit time gamma_n:
 
@@ -38,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +52,7 @@ from .banded import RieffelProjectionSpec
 from .flow import stream_rng
 
 DEFAULT_SIGMA2 = 2.0
-STEPS_PER_MEAN_EXIT = 64
+STEPS_PER_MEAN_EXIT = 16
 SURVIVAL_TRUNCATION = 1e-4
 ENGINE_CHUNK = 4096
 # A chunk that runs this many mean exit times of its level is cut off.
@@ -168,15 +174,16 @@ class StepCapExceeded(RuntimeError):
 
 
 def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
-                dt: Optional[float], seed: int,
-                sigma2: float) -> tuple[np.ndarray, float]:
+                dt: Optional[float], seed: int, sigma2: float,
+                stream: int = 0) -> tuple[np.ndarray, float]:
     """Exit step of each path at one family level, and the step length dt.
 
     Paths start at the state angle and leave [lo, hi] = [eps - x0, v - x0].
     Each step draws one normal, then one uniform, per live path from the
-    chunk's stream.  A step that ends inside [lo, hi] still kills the path
-    when its uniform falls below the Brownian-bridge probability of having
-    crossed an edge between the two grid points,
+    chunk's stream stream_rng(seed, 3, stream, index, chunk).  A step that
+    ends inside [lo, hi] still kills the path when its uniform falls below
+    the Brownian-bridge probability of having crossed an edge between the
+    two grid points,
     exp(-2 (hi - w0)(hi - w1) / s^2) + exp(-2 (w0 - lo)(w1 - lo) / s^2)
     with s^2 = sigma2 * dt, so the exit step is the step in which the
     continuous path left.  The sum overcounts paths that touch both edges
@@ -205,7 +212,7 @@ def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
     chunk_index = 0
     while done < n_paths:
         size = min(ENGINE_CHUNK, n_paths - done)
-        rng = stream_rng(seed, 3, index, chunk_index)
+        rng = stream_rng(seed, 3, stream, index, chunk_index)
         w = np.zeros(size)
         idx = np.arange(size, dtype=np.int64)
         if engine == "operator":
@@ -257,9 +264,9 @@ class GammaEstimate:
 
 
 def _default_dt(half_width: float, sigma2: float) -> float:
-    # Mean exit needs ~STEPS_PER_MEAN_EXIT steps, so increments are a/8.  The
+    # Mean exit needs ~STEPS_PER_MEAN_EXIT steps, so increments are a/4.  The
     # bridge kill in _exit_steps removes the discrete-monitoring bias, which
-    # at this grid would otherwise be ~2 * 0.5826 * sigma*sqrt(dt)/a ~ 15%.
+    # at this grid would otherwise be ~2 * 0.5826 * sigma*sqrt(dt)/a ~ 29%.
     return (half_width * half_width / sigma2) / STEPS_PER_MEAN_EXIT
 
 
@@ -300,9 +307,14 @@ def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: floa
 def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
                    n_paths: int = 10_000, dt: Optional[float] = None,
                    seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
-                   truncation: float = SURVIVAL_TRUNCATION) -> GammaEstimate:
-    """Monte Carlo mean exit time gamma_n for one family level."""
-    exits, dt = _exit_steps(family, index, engine, n_paths, dt, seed, sigma2)
+                   truncation: float = SURVIVAL_TRUNCATION,
+                   stream: int = 0) -> GammaEstimate:
+    """Monte Carlo mean exit time gamma_n for one family level.
+
+    Runs that share (seed, stream) share their paths level by level; a run
+    meant to be independent of another at the same seed takes its own stream.
+    """
+    exits, dt = _exit_steps(family, index, engine, n_paths, dt, seed, sigma2, stream)
     return _gamma_from_exits(exits, engine, family.levels[index], dt, sigma2, seed,
                              truncation)
 
@@ -359,8 +371,9 @@ class AsymptoticsFit:
     c2: float
     slope_residual: float
     pairs: list[tuple[float, float, float]]
-    # Weighted-least-squares standard error of c2; None unless every pair
-    # carries a positive stderr.
+    # Weighted-least-squares standard errors of c1 and c2; None unless every
+    # pair carries a positive stderr.
+    c1_stderr: Optional[float]
     c2_stderr: Optional[float]
 
     @property
@@ -376,7 +389,7 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
     a residual above 0.25 means no clean power law: "no asymptotic detected".
     Weighted least squares uses 1/stderr^2 when standard errors are provided
     (zero or missing stderr falls back to unit weight); when all are given,
-    the coefficient covariance (X^T W X)^{-1} yields the stderr of c2.
+    the coefficient covariance (X^T W X)^{-1} yields the stderrs of c1 and c2.
     """
     pairs = [(float(v), float(g), float(s) if s else 0.0) for v, g, s in pairs]
     if len(pairs) < 4:
@@ -408,11 +421,13 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
     sw = np.sqrt(wls)
     weighted = design * sw[:, None]
     coef, *_ = np.linalg.lstsq(weighted, gs * sw, rcond=None)
-    c2_stderr = None
+    c1_stderr = c2_stderr = None
     if has_err.all():
-        c2_stderr = float(math.sqrt(np.linalg.inv(weighted.T @ weighted)[1, 1]))
+        cov = np.linalg.inv(weighted.T @ weighted)
+        c1_stderr, c2_stderr = (float(math.sqrt(cov[i, i])) for i in (0, 1))
     return AsymptoticsFit(slope=slope, n0=n0, c1=float(coef[0]), c2=float(coef[1]),
-                          slope_residual=residual, pairs=pairs, c2_stderr=c2_stderr)
+                          slope_residual=residual, pairs=pairs, c1_stderr=c1_stderr,
+                          c2_stderr=c2_stderr)
 
 
 @dataclass
@@ -425,16 +440,20 @@ class InvariantReport:
     h_squared: float
     h: float
     h_imaginary: bool
+    # Delta-method standard error of d; None without a stderr of c1.
+    d_stderr: Optional[float] = None
 
 
-def extract_invariants(n0: int, c1: float, c2: float) -> InvariantReport:
+def extract_invariants(n0: int, c1: float, c2: float,
+                       c1_stderr: Optional[float] = None) -> InvariantReport:
     """Effective dimension and mean-curvature invariant from fit coefficients.
 
     alpha_n0 = 2 Gamma(1/2)^{n0} / Gamma(n0/2);
     d = (1 / (2 c1)) (n0 / alpha)^{2/n0} + 1;
     H^2 = 8 (d + 1) c2 (alpha / n0)^{4/n0}.
     Negative H^2 (possible for noisy or vanishing c2) is flagged rather than
-    silently truncated.
+    silently truncated.  Since d - 1 is proportional to 1/c1, the delta
+    method gives stderr(d) = (d - 1) stderr(c1) / c1.
     """
     if n0 < 1 or c1 <= 0.0:
         raise ValueError("need n0 >= 1 and c1 > 0")
@@ -443,8 +462,10 @@ def extract_invariants(n0: int, c1: float, c2: float) -> InvariantReport:
     h2 = 8.0 * (d + 1.0) * c2 * (alpha / n0) ** (4.0 / n0)
     imaginary = h2 < 0.0
     h = math.sqrt(h2) if not imaginary else math.sqrt(-h2)
+    d_stderr = None if c1_stderr is None else (d - 1.0) * c1_stderr / c1
     return InvariantReport(n0=n0, c1=c1, c2=c2, alpha=alpha, d=d,
-                           h_squared=h2, h=h, h_imaginary=imaginary)
+                           h_squared=h2, h=h, h_imaginary=imaginary,
+                           d_stderr=d_stderr)
 
 
 # -- reference checks ------------------------------------------------------------------------
@@ -561,8 +582,10 @@ class AsymptoticsReport:
                 "n0": self.fit.n0,
                 "c1": self.fit.c1,
                 "c2": self.fit.c2,
+                "c1_stderr": self.fit.c1_stderr,
                 "c2_stderr": self.fit.c2_stderr,
                 "d": self.invariants.d,
+                "d_stderr": self.invariants.d_stderr,
                 "H": self.invariants.h,
                 "H_squared": self.invariants.h_squared,
                 "H_imaginary": self.invariants.h_imaginary,
@@ -579,12 +602,12 @@ def run_exit_asymptotics(family: ExitFamily, engine: str = "reduced",
     Estimates without a power law are a result, not an error: the report
     then has no fit and says why in fit_error.
     """
-    estimates = [gamma_estimate(family, i, engine, n_paths, dt, seed + i, sigma2)
+    estimates = [gamma_estimate(family, i, engine, n_paths, dt, seed, sigma2)
                  for i in range(len(family.levels))]
     fit = invariants = error = None
     try:
         fit = fit_asymptotics([(e.v, e.gamma, e.stderr) for e in estimates])
-        invariants = extract_invariants(fit.n0, fit.c1, fit.c2)
+        invariants = extract_invariants(fit.n0, fit.c1, fit.c2, fit.c1_stderr)
     except NoAsymptoticDetected as exc:
         error = str(exc)
     return AsymptoticsReport(family=family, estimates=estimates, fit=fit,

@@ -17,7 +17,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 # Coefficients with modulus at or below this are dropped from the support.
 DROP_TOL = 1e-15

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from ncqbm.cli import ExperimentConfig, load_config, main, render_config
+from ncqbm.cli import ConfigError, ExperimentConfig, load_config, main, render_config
+from ncqbm.flow import stream_rng
 
 
 def run(args):
@@ -160,6 +161,9 @@ def test_exit_asymptotics_csv_json_and_replay(tmp_path):
     assert budget["alpha"] == 1e-3
     assert budget["z_max"] == pytest.approx(3.765, abs=1e-3)
     assert payload["c2_stderr"] > 0.0
+    assert payload["c1_stderr"] > 0.0
+    assert payload["d_stderr"] == pytest.approx(
+        (payload["d"] - 1.0) * payload["c1_stderr"] / payload["c1"], rel=1e-12)
     unresolved = abs(payload["c2"]) < 2.0 * payload["c2_stderr"]
     assert unresolved == ("c2 not resolved: H undetermined" in payload["warnings"])
 
@@ -171,6 +175,25 @@ def test_exit_asymptotics_seed_changes_output(tmp_path):
                 "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a" / "exit_asymptotics.csv").read_bytes() != \
         (tmp_path / "b" / "exit_asymptotics.csv").read_bytes()
+
+
+def test_exit_asymptotics_passes_share_no_stream_across_seeds(tmp_path, monkeypatch):
+    # Each pass of each seed draws from its own streams, so the reduced pass
+    # of --seed 1000 shares no draw with the operator pass of --seed 0.
+    keys = []
+
+    def recording(seed, *stream):
+        keys[-1].append((seed, *stream))
+        return stream_rng(seed, *stream)
+
+    monkeypatch.setattr("ncqbm.exit_times.stream_rng", recording)
+    for seed in ("0", "1000"):
+        keys.append([])
+        assert run(["exit-asymptotics", "--paths", "400", "--seed", seed,
+                    "--out", str(tmp_path / seed)]) == 0
+        # One chunk per level and pass, each on its own stream.
+        assert len(set(keys[-1])) == len(keys[-1]) == 12
+    assert not set(keys[0]) & set(keys[1])
 
 
 def test_exit_asymptotics_step_cap_is_reported_not_raised(tmp_path, monkeypatch, capsys):
@@ -209,6 +232,20 @@ def test_exit_asymptotics_unfittable_estimates_fail_check(tmp_path):
         assert any(w.startswith(f"level {i}: mean exit in") for w in warnings)
     assert warnings[-1].startswith("fit failed: no asymptotic detected")
     assert "d" not in payload and "c1" not in payload
+
+
+def test_exit_asymptotics_too_few_levels_is_input_error(tmp_path, capsys):
+    # The fit needs 4 levels, so 3 is rejected before any path is sampled.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[exit]\nconvergent_count = 3\n")
+    out = tmp_path / "out"
+    assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "convergent_count must be between 4 and 20" in capsys.readouterr().err
+    assert not out.exists()
+    assert ExperimentConfig(convergent_count=4).validate().convergent_count == 4
+    for count in (0, 21):
+        with pytest.raises(ConfigError, match="convergent_count"):
+            ExperimentConfig(convergent_count=count).validate()
 
 
 def test_exit_asymptotics_analytic_branch(tmp_path):

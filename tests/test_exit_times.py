@@ -24,7 +24,8 @@ from ncqbm.exit_times import (
     run_exit_asymptotics,
     run_survival_comparison,
 )
-from ncqbm.lattice import plateau_set
+from ncqbm.flow import stream_rng
+from ncqbm.lattice import meet_along_path, plateau_set
 
 from oracles import (
     convergent_denominators_oracle,
@@ -137,9 +138,9 @@ def test_default_step_count_near_target():
     fam = ExitFamily.golden(3)
     est = gamma_estimate(fam, 1, engine="reduced", n_paths=1000, seed=3)
     assert est.dt == pytest.approx(
-        exit_time_mean_exact(fam.levels[1].half_width, est.sigma2) / 64
+        exit_time_mean_exact(fam.levels[1].half_width, est.sigma2) / 16
     )
-    assert 55 < est.mean_steps < 74
+    assert 13.5 < est.mean_steps < 18.5
 
 
 def test_step_cap_scales_with_explicit_dt(monkeypatch):
@@ -191,6 +192,45 @@ def test_exit_step_law_matches_survival_series():
     assert np.max(np.abs(empirical - exact)) < 1.95 / math.sqrt(n)
 
 
+def test_operator_engine_stops_where_the_lattice_fold_loses_the_state():
+    # The fold of plateau translates [eps, v) - W along the grid values keeps
+    # the state angle while every value lies in [lo, hi); the engine also
+    # kills on the bridge, so it stops at or before the fold's first loss,
+    # and exactly there when it died on the grid condition.
+    fam = ExitFamily.golden(6)
+    sigma2 = 2.0
+    deaths = {"grid": 0, "kill": 0}
+    for index in (0, 3, 5):
+        level = fam.levels[index]
+        spec = level.projection_spec()
+        lo = level.epsilon - level.state_angle
+        hi = level.v - level.state_angle
+        # Steps of a/sqrt(128) against the fold's refine threshold eps/4 =
+        # a/2, so the grid values need no bridge points (a bare array has no
+        # refine() and would raise).
+        dt = exit_time_mean_exact(level.half_width, sigma2) / 128
+        scale = math.sqrt(sigma2 * dt)
+        for seed in range(40):
+            (exit_step,), _ = _exit_steps(fam, index, "operator", 1, dt, seed, sigma2)
+            # A one-path chunk draws one normal, then one uniform, per step.
+            rng = stream_rng(seed, 3, 0, index, 0)
+            w = np.zeros(exit_step + 1)
+            for j in range(1, exit_step + 1):
+                w[j] = w[j - 1] + rng.normal(size=1)[0] * scale
+                rng.random(size=1)
+            # The half-open plateau and the engine's closed test w <= hi
+            # differ only for a value on an edge; none of these is near one.
+            assert np.min(np.abs(np.concatenate([w - lo, w - hi]))) > 1e-12
+            before = meet_along_path(spec, w[:exit_step], state_angle=level.state_angle)
+            through = meet_along_path(spec, w, state_angle=level.state_angle)
+            assert before.levels_used == through.levels_used == 0
+            assert before.survived
+            on_grid = not lo <= w[-1] <= hi
+            assert through.survived is not on_grid
+            deaths["grid" if on_grid else "kill"] += 1
+    assert min(deaths.values()) > 0
+
+
 def test_both_engines_unbiased_at_1e5_paths():
     fam = ExitFamily.golden(6)
     cmp = run_survival_comparison(fam, 4, n_paths=100_000, seed=23)
@@ -198,6 +238,21 @@ def test_both_engines_unbiased_at_1e5_paths():
     exact = exit_time_mean_exact(fam.levels[4].half_width, cmp.reduced.sigma2)
     for est in (cmp.reduced, cmp.operator):
         assert abs(est.gamma - exact) < 4.0 * est.stderr
+
+
+def test_independent_stream_tag_gives_new_paths():
+    fam = ExitFamily.golden(3)
+    default, _ = _exit_steps(fam, 1, "operator", 500, None, 9, 2.0)
+    other, _ = _exit_steps(fam, 1, "operator", 500, None, 9, 2.0, stream=1)
+    assert not np.array_equal(default, other)
+
+
+def test_sweep_levels_are_single_level_estimates_at_the_same_seed():
+    fam = ExitFamily.golden(6)
+    report = run_exit_asymptotics(fam, n_paths=300, seed=12)
+    for i, est in enumerate(report.estimates):
+        alone = gamma_estimate(fam, i, n_paths=300, seed=12)
+        assert (est.gamma, est.stderr, est.seed) == (alone.gamma, alone.stderr, 12)
 
 
 def test_gamma_estimate_is_deterministic_in_seed():
@@ -279,6 +334,43 @@ def test_fit_c2_resolved_on_exact_data():
     assert unweighted.c2_resolved
 
 
+def test_fit_c1_and_d_stderr_on_exact_data():
+    vs = np.geomspace(0.01, 0.3, 8)
+    gammas = [v * v / 32.0 + v ** 4 / 6144.0 for v in vs]
+    fit = fit_asymptotics([(v, g, 1e-9 * g) for v, g in zip(vs, gammas)])
+    assert 0.0 < fit.c1_stderr < 1e-8 * fit.c1
+    inv = extract_invariants(fit.n0, fit.c1, fit.c2, fit.c1_stderr)
+    # n0 = 1: d = 1 + 1/(8 c1), so |dd/dc1| = 1/(8 c1^2).
+    assert inv.d_stderr == pytest.approx(fit.c1_stderr / (8.0 * fit.c1 ** 2), rel=1e-12)
+    assert 0.0 < inv.d_stderr < 1e-7
+    unweighted = fit_asymptotics([(v, g, 0.0) for v, g in zip(vs, gammas)])
+    assert unweighted.c1_stderr is None
+    assert extract_invariants(1, unweighted.c1, unweighted.c2,
+                              unweighted.c1_stderr).d_stderr is None
+
+
+def test_fit_c1_and_d_stderr_on_noisy_data():
+    # The exit-sweep setting: gamma = v^2/32 exactly, 0.8% noise per level.
+    rng = np.random.default_rng(5)
+    vs = np.array(ExitFamily.golden(6).v)
+    exact = vs * vs / 32.0
+    stderr = 0.008 * exact
+    design = np.column_stack([vs ** 2, vs ** 4]) / stderr[:, None]
+    cov = np.linalg.inv(design.T @ design)
+
+    def fitted_d(noise):
+        fit = fit_asymptotics(list(zip(vs, exact + stderr * noise, stderr)))
+        return fit, extract_invariants(fit.n0, fit.c1, fit.c2, fit.c1_stderr)
+
+    fit, inv = fitted_d(rng.normal(size=vs.size))
+    assert fit.c1_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-9)
+    assert inv.d_stderr == pytest.approx((inv.d - 1.0) * fit.c1_stderr / fit.c1, rel=1e-12)
+    # The delta-method error matches the spread of d over repeated noise
+    # (1000 draws: the sample sd is within ~2.2% of the truth at one sd).
+    ds = [fitted_d(rng.normal(size=vs.size))[1].d for _ in range(1000)]
+    assert float(np.std(ds, ddof=1)) == pytest.approx(inv.d_stderr, rel=0.1)
+
+
 def test_fit_c2_unresolved_on_noisy_data():
     # The exit-sweep setting: gamma = v^2/32 exactly (c2 = 0), 0.8% noise.
     rng = np.random.default_rng(5)
@@ -314,6 +406,7 @@ def test_agreement_threshold_follows_level_count():
 def test_extract_invariants_reference_point():
     rep = extract_invariants(1, 2.0 ** -5, 2.0 ** -11 / 3.0)
     assert rep.d == 5.0
+    assert rep.d_stderr is None
     assert abs(rep.h - 1.0 / (2.0 * math.sqrt(2.0))) <= 1e-14
     assert abs(rep.h_squared - 0.125) < 1e-16
     assert not rep.h_imaginary

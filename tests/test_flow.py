@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from ncqbm.flow import (BrownianPath, SemigroupSpec, flow_apply,
-                        flow_torus_generator, heat_multiplier,
-                        heat_semigroup_exact, sample_path, stream_rng,
-                        vacuum_expectation_mc)
-from ncqbm.torus import AlgebraContext, TorusElement, act, mul, star, trace
+from ncqbm.flow import (SemigroupSpec, flow_apply, flow_torus_generator,
+                        heat_multiplier, heat_semigroup_exact, sample_path,
+                        stream_rng, vacuum_expectation_mc)
+from ncqbm.torus import AlgebraContext, TorusElement, act, mul, trace
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ncqbm.banded import (BandedElement, CircleFunction, RieffelProjectionSpec,
                           banded_mul, build_rieffel_projection, indicator_banded,
                           supdiff, translate_action)
-from ncqbm.lattice import (DegenerateMeet, IntervalSet, MeetReport, _square,
+from ncqbm.lattice import (DegenerateMeet, IntervalSet, _square,
                            compare_iterative_to_closed_form, meet_along_path,
                            meet_closed_form, meet_pair_iterative, plateau_set,
                            threshold_arcs)
