@@ -35,7 +35,6 @@ from .banded import (
 )
 from .exit_times import (
     ENGINE_AGREEMENT_ALPHA,
-    MIN_MEAN_STEPS,
     ExitFamily,
     StepCapExceeded,
     agreement_z_max,
@@ -70,7 +69,6 @@ class ExperimentConfig:
     # flow / semigroup check
     sigma2: float = 1.0
     n_paths: int = 20000
-    dt: Optional[float] = None
     time: float = 0.05
     drift_mu: float = 0.0
     drift_nu: float = 0.0
@@ -98,8 +96,6 @@ class ExperimentConfig:
             raise ConfigError("sigma2 must be positive")
         if self.n_paths < 100 or self.exit_paths < 100:
             raise ConfigError("path counts must be at least 100")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ConfigError("dt must be positive or auto")
         if self.time <= 0.0:
             raise ConfigError("time must be positive")
         # The power-law fit needs at least 4 levels.
@@ -116,13 +112,6 @@ class ExperimentConfig:
         return self
 
 
-# (section, key) -> (attribute, parser)
-def _parse_dt(text: str) -> Optional[float]:
-    if text.strip().lower() == "auto":
-        return None
-    return float(text)
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -132,6 +121,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# (section, key) -> (attribute, parser), in the order render_config prints them.
 _SCHEMA = {
     ("experiment", "theta"): ("theta", float),
     ("experiment", "seed"): ("seed", int),
@@ -141,7 +131,6 @@ _SCHEMA = {
     ("projection", "grid"): ("grid", int),
     ("flow", "sigma2"): ("sigma2", float),
     ("flow", "n_paths"): ("n_paths", int),
-    ("flow", "dt"): ("dt", _parse_dt),
     ("flow", "time"): ("time", float),
     ("flow", "drift_mu"): ("drift_mu", float),
     ("flow", "drift_nu"): ("drift_nu", float),
@@ -185,34 +174,15 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
 
 def render_config(cfg: ExperimentConfig) -> str:
     """The full configuration as INI text (every default is printable)."""
-    dt = "auto" if cfg.dt is None else repr(cfg.dt)
-    return (
-        "[experiment]\n"
-        f"theta = {cfg.theta!r}\n"
-        f"seed = {cfg.seed}\n"
-        f"out = {cfg.out}\n"
-        "\n[projection]\n"
-        f"epsilon_factor = {cfg.epsilon_factor!r}\n"
-        f"scale_k = {cfg.scale_k}\n"
-        f"grid = {cfg.grid}\n"
-        "\n[flow]\n"
-        f"sigma2 = {cfg.sigma2!r}\n"
-        f"n_paths = {cfg.n_paths}\n"
-        f"dt = {dt}\n"
-        f"time = {cfg.time!r}\n"
-        f"drift_mu = {cfg.drift_mu!r}\n"
-        f"drift_nu = {cfg.drift_nu!r}\n"
-        "\n[exit]\n"
-        f"convergent_count = {cfg.convergent_count}\n"
-        f"engine = {cfg.engine}\n"
-        f"analytic = {str(cfg.analytic).lower()}\n"
-        f"sigma2 = {cfg.exit_sigma2!r}\n"
-        f"n_paths = {cfg.exit_paths}\n"
-        "\n[meet]\n"
-        f"tuples = {cfg.meet_tuples}\n"
-        f"grid = {cfg.meet_grid}\n"
-        f"epsilon_factor = {cfg.meet_epsilon_factor!r}\n"
-    )
+    sections: dict = {}
+    for (section, key), (attr, _) in _SCHEMA.items():
+        value = getattr(cfg, attr)
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, float):
+            value = repr(value)
+        sections.setdefault(section, [f"[{section}]"]).append(f"{key} = {value}")
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 def _write_text(directory: str, name: str, text: str) -> Path:
@@ -392,27 +362,22 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
     primary_engine = "reduced" if cfg.engine in ("reduced", "both") else "operator"
     report = run_exit_asymptotics(family, engine=primary_engine,
                                   n_paths=cfg.exit_paths, seed=cfg.seed,
-                                  sigma2=cfg.exit_sigma2, dt=cfg.dt)
+                                  sigma2=cfg.exit_sigma2)
     warnings = [f"level {i}: truncation bound above 1% of gamma"
                 for i, est in enumerate(report.estimates) if est.truncation_flagged]
-    # Too few steps per mean exit make gamma and the fit wrong, not noisy.
-    coarse = [f"level {i}: mean exit in {est.mean_steps:.3g} steps, below the floor "
-              f"of {MIN_MEAN_STEPS}" for i, est in enumerate(report.estimates)
-              if est.mean_steps < MIN_MEAN_STEPS]
-    warnings += coarse
     if report.fit is None:
         warnings.append(f"fit failed: {report.fit_error}")
     elif not report.fit.c2_resolved:
         warnings.append("c2 not resolved: H undetermined")
     summary = json.loads(report.to_json())
-    ok = not coarse and report.fit is not None
+    ok = report.fit is not None
     if cfg.engine == "both":
         # Operator run on its own stream (tag 1), independent of the reduced
         # run; each level's z must stay below the threshold that holds the
         # family-wise false-failure rate at alpha.
         z_max = agreement_z_max(len(family.levels))
-        others = [gamma_estimate(family, i, "operator", cfg.exit_paths, cfg.dt,
-                                 cfg.seed, cfg.exit_sigma2, stream=1)
+        others = [gamma_estimate(family, i, "operator", cfg.exit_paths,
+                                 seed=cfg.seed, sigma2=cfg.exit_sigma2, stream=1)
                   for i in range(len(family.levels))]
         agreement = []
         for red, op in zip(report.estimates, others):

@@ -52,13 +52,16 @@ from .banded import RieffelProjectionSpec
 from .flow import stream_rng
 
 DEFAULT_SIGMA2 = 2.0
+# Every level steps at mean / STEPS_PER_MEAN_EXIT, so increments are a/4.  The
+# bridge kill in _exit_steps removes the discrete-monitoring bias, which at
+# this grid would otherwise be ~2 * 0.5826 * sigma*sqrt(dt)/a ~ 29%.
 STEPS_PER_MEAN_EXIT = 16
 SURVIVAL_TRUNCATION = 1e-4
 ENGINE_CHUNK = 4096
 # A chunk that runs this many mean exit times of its level is cut off.
 MAX_MEAN_EXITS = 4096
-# A level whose mean exit takes fewer steps than this is sampled too coarsely
-# for the mid-step estimators and the one-edge bridge kill to hold.
+# Fewer steps per mean exit than this sample a level too coarsely for the
+# mid-step estimators and the one-edge bridge kill to hold.
 MIN_MEAN_STEPS = 8
 # Family-wise rate at which two correct engines fail the agreement check.
 ENGINE_AGREEMENT_ALPHA = 1e-3
@@ -174,10 +177,13 @@ class StepCapExceeded(RuntimeError):
 
 
 def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
-                dt: Optional[float], seed: int, sigma2: float,
-                stream: int = 0) -> tuple[np.ndarray, float]:
+                seed: int, sigma2: float, stream: int = 0,
+                steps: int = STEPS_PER_MEAN_EXIT) -> tuple[np.ndarray, float]:
     """Exit step of each path at one family level, and the step length dt.
 
+    Every level takes `steps` steps per mean exit time, dt = (a^2 / sigma2) /
+    steps, so each is sampled at the same resolution relative to its own time
+    scale; fewer than MIN_MEAN_STEPS steps raises.
     Paths start at the state angle and leave [lo, hi] = [eps - x0, v - x0].
     Each step draws one normal, then one uniform, per live path from the
     chunk's stream stream_rng(seed, 3, stream, index, chunk).  A step that
@@ -198,15 +204,15 @@ def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
     """
     if engine not in ("reduced", "operator"):
         raise ValueError("engine must be 'reduced' or 'operator'")
+    if steps < MIN_MEAN_STEPS:
+        raise ValueError(f"steps per mean exit must be at least {MIN_MEAN_STEPS}")
     level = family.levels[index]
-    if dt is None:
-        dt = _default_dt(level.half_width, sigma2)
+    dt = exit_time_oracle_exact(level.half_width, sigma2) / steps
     lo = level.epsilon - level.state_angle
     hi = level.v - level.state_angle
     step_scale = math.sqrt(sigma2 * dt)
     kill_rate = 2.0 / (step_scale * step_scale)
-    steps_per_mean = math.ceil(exit_time_oracle_exact(level.half_width, sigma2) / dt)
-    max_steps = MAX_MEAN_EXITS * max(1, steps_per_mean)
+    max_steps = MAX_MEAN_EXITS * steps
     out = np.zeros(n_paths, dtype=np.int64)
     done = 0
     chunk_index = 0
@@ -258,20 +264,15 @@ class GammaEstimate:
     dt: float
     sigma2: float
     seed: int
+    stream: int
     truncation_bound: float
     truncation_flagged: bool
     mean_steps: float
 
 
-def _default_dt(half_width: float, sigma2: float) -> float:
-    # Mean exit needs ~STEPS_PER_MEAN_EXIT steps, so increments are a/4.  The
-    # bridge kill in _exit_steps removes the discrete-monitoring bias, which
-    # at this grid would otherwise be ~2 * 0.5826 * sigma*sqrt(dt)/a ~ 29%.
-    return (half_width * half_width / sigma2) / STEPS_PER_MEAN_EXIT
-
-
 def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: float,
-                      sigma2: float, seed: int, truncation: float) -> GammaEstimate:
+                      sigma2: float, seed: int, stream: int,
+                      truncation: float) -> GammaEstimate:
     """Mean exit time estimate from the exit steps of one level's paths.
 
     Both estimators place an exit half a step before the grid point that
@@ -300,12 +301,12 @@ def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: floa
         flagged = bound > 0.01 * gamma
     return GammaEstimate(gamma=gamma, stderr=stderr, engine=engine, v=level.v,
                          n_paths=n_paths, dt=dt, sigma2=sigma2, seed=seed,
-                         truncation_bound=bound, truncation_flagged=flagged,
+                         stream=stream, truncation_bound=bound, truncation_flagged=flagged,
                          mean_steps=float(np.mean(exits)))
 
 
 def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
-                   n_paths: int = 10_000, dt: Optional[float] = None,
+                   n_paths: int = 10_000, steps: int = STEPS_PER_MEAN_EXIT,
                    seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
                    truncation: float = SURVIVAL_TRUNCATION,
                    stream: int = 0) -> GammaEstimate:
@@ -314,9 +315,9 @@ def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
     Runs that share (seed, stream) share their paths level by level; a run
     meant to be independent of another at the same seed takes its own stream.
     """
-    exits, dt = _exit_steps(family, index, engine, n_paths, dt, seed, sigma2, stream)
+    exits, dt = _exit_steps(family, index, engine, n_paths, seed, sigma2, stream, steps)
     return _gamma_from_exits(exits, engine, family.levels[index], dt, sigma2, seed,
-                             truncation)
+                             stream, truncation)
 
 
 @dataclass
@@ -329,7 +330,7 @@ class SurvivalComparison:
 
 def run_survival_comparison(family: ExitFamily, index: int, n_paths: int = 2000,
                             seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
-                            dt: Optional[float] = None) -> SurvivalComparison:
+                            steps: int = STEPS_PER_MEAN_EXIT) -> SurvivalComparison:
     """Runs both engines on identical increment streams and compares paths.
 
     Per-path survival indicators are determined by the exit step, so exact
@@ -337,11 +338,12 @@ def run_survival_comparison(family: ExitFamily, index: int, n_paths: int = 2000,
     steps.  Each engine's estimate is made from the exit steps compared here.
     """
     level = family.levels[index]
-    e_red, dt = _exit_steps(family, index, "reduced", n_paths, dt, seed, sigma2)
-    e_op, _ = _exit_steps(family, index, "operator", n_paths, dt, seed, sigma2)
+    e_red, dt = _exit_steps(family, index, "reduced", n_paths, seed, sigma2, steps=steps)
+    e_op, _ = _exit_steps(family, index, "operator", n_paths, seed, sigma2, steps=steps)
     diff = int(np.max(np.abs(e_red - e_op))) if n_paths else 0
-    red = _gamma_from_exits(e_red, "reduced", level, dt, sigma2, seed, SURVIVAL_TRUNCATION)
-    op = _gamma_from_exits(e_op, "operator", level, dt, sigma2, seed, SURVIVAL_TRUNCATION)
+    # Both engines ran on the default stream, tag 0.
+    red = _gamma_from_exits(e_red, "reduced", level, dt, sigma2, seed, 0, SURVIVAL_TRUNCATION)
+    op = _gamma_from_exits(e_op, "operator", level, dt, sigma2, seed, 0, SURVIVAL_TRUNCATION)
     return SurvivalComparison(indicators_equal=bool(np.array_equal(e_red, e_op)),
                               max_step_difference=diff, reduced=red, operator=op)
 
@@ -595,14 +597,13 @@ class AsymptoticsReport:
 
 def run_exit_asymptotics(family: ExitFamily, engine: str = "reduced",
                          n_paths: int = 10_000, seed: int = 0,
-                         sigma2: float = DEFAULT_SIGMA2,
-                         dt: Optional[float] = None) -> AsymptoticsReport:
+                         sigma2: float = DEFAULT_SIGMA2) -> AsymptoticsReport:
     """Estimates gamma over the family, fits the power law, extracts invariants.
 
     Estimates without a power law are a result, not an error: the report
     then has no fit and says why in fit_error.
     """
-    estimates = [gamma_estimate(family, i, engine, n_paths, dt, seed, sigma2)
+    estimates = [gamma_estimate(family, i, engine, n_paths, seed=seed, sigma2=sigma2)
                  for i in range(len(family.levels))]
     fit = invariants = error = None
     try:

@@ -352,21 +352,22 @@ class OPlusGeneratorSpec:
         return np.array(self.A, dtype=complex)
 
 
+def _oplus_contractions(m: int, i: int, j: int) -> list[tuple[float, tuple, tuple]]:
+    """Terms (sign, p, q) of the symmetrization constraint for the pair (i, j).
+
+    L_ij + L_ji = sum of sign * a_(p,q) over the terms, with pairs p, q:
+    - sum_{k<i} a_(k,i,k,j) + sum_{i<k<j} a_(i,k,k,j) - sum_{k>j} a_(i,k,j,k).
+    """
+    return ([(-1.0, (k, i), (k, j)) for k in range(0, i)]
+            + [(1.0, (i, k), (k, j)) for k in range(i + 1, j)]
+            + [(-1.0, (i, k), (j, k)) for k in range(j + 1, m)])
+
+
 def _oplus_constraint_rhs(A: np.ndarray, index: dict, m: int,
                           i: int, j: int) -> complex:
-    """Right side of the symmetrization constraint for the pair (i, j).
-
-    L_ij + L_ji = - sum_{k<i} a_(k,i,k,j) + sum_{i<k<j} a_(i,k,k,j)
-                  - sum_{k>j} a_(i,k,j,k).
-    """
-    total = 0.0 + 0.0j
-    for k in range(0, i):
-        total -= A[index[(k, i)], index[(k, j)]]
-    for k in range(i + 1, j):
-        total += A[index[(i, k)], index[(k, j)]]
-    for k in range(j + 1, m):
-        total -= A[index[(i, k)], index[(j, k)]]
-    return total
+    """Right side of the symmetrization constraint for the pair (i, j)."""
+    return sum((sign * A[index[p], index[q]] for sign, p, q in _oplus_contractions(m, i, j)),
+               0.0 + 0.0j)
 
 
 def oplus_noise_form(g: OPlusGeneratorSpec) -> np.ndarray:
@@ -442,9 +443,8 @@ def oplus_from_noise_form(n: int, B: np.ndarray) -> OPlusGeneratorSpec:
     if B.shape != (npairs, npairs):
         raise ValueError(f"B must be a {npairs}x{npairs} matrix")
 
-    # Complex equation per pair (i, j):
-    #   L_ij + L_ji + sum_{k<i}[conj(L_ki) + L_kj] - sum_{i<k<j}[conj(L_ik) + L_kj]
-    #   + sum_{k>j}[conj(L_ik) + L_jk]  =  -(B-contractions)
+    # Complex equation per pair (i, j), with a_(p,q) = B_(p,q) + conj(L_p) + L_q:
+    #   L_ij + L_ji - sum sign * [conj(L_p) + L_q]  =  sum sign * B_(p,q)
     n_unknowns = m * m
     coef = np.zeros((npairs, n_unknowns), dtype=complex)       # multiplies L
     coef_conj = np.zeros((npairs, n_unknowns), dtype=complex)  # multiplies conj(L)
@@ -456,20 +456,10 @@ def oplus_from_noise_form(n: int, B: np.ndarray) -> OPlusGeneratorSpec:
     for row, (i, j) in enumerate(pairs):
         coef[row, flat(i, j)] += 1.0
         coef[row, flat(j, i)] += 1.0
-        acc = 0.0 + 0.0j
-        for k in range(0, i):
-            acc += B[index[(k, i)], index[(k, j)]]
-            coef_conj[row, flat(k, i)] += 1.0
-            coef[row, flat(k, j)] += 1.0
-        for k in range(i + 1, j):
-            acc -= B[index[(i, k)], index[(k, j)]]
-            coef_conj[row, flat(i, k)] -= 1.0
-            coef[row, flat(k, j)] -= 1.0
-        for k in range(j + 1, m):
-            acc += B[index[(i, k)], index[(j, k)]]
-            coef_conj[row, flat(i, k)] += 1.0
-            coef[row, flat(j, k)] += 1.0
-        rhs[row] = -acc
+        for sign, p, q in _oplus_contractions(m, i, j):
+            coef_conj[row, flat(*p)] -= sign
+            coef[row, flat(*q)] -= sign
+        rhs[row] = _oplus_constraint_rhs(B, index, m, i, j)
 
     # Real-ification: unknown x = [Re L; Im L].
     top = np.hstack([coef.real + coef_conj.real, -coef.imag + coef_conj.imag])
@@ -527,9 +517,8 @@ def solve_biinvariant_oplus(n: int, include_biinvariance: bool = True) -> Biinva
     rows = []
     for (i, j) in pairs:
         entries = [(l_col(i, j), 1.0), (l_col(j, i), 1.0)]
-        entries += [(a_col(index[(k, i)], index[(k, j)]), 1.0) for k in range(0, i)]
-        entries += [(a_col(index[(i, k)], index[(k, j)]), -1.0) for k in range(i + 1, j)]
-        entries += [(a_col(index[(i, k)], index[(j, k)]), 1.0) for k in range(j + 1, m)]
+        entries += [(a_col(index[p], index[q]), -sign)
+                    for sign, p, q in _oplus_contractions(m, i, j)]
         rows.append(_row(*entries))
     for i in range(m):
         diag = [index[(min(i, k), max(i, k))] for k in range(m) if k != i]

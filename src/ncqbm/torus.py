@@ -143,10 +143,6 @@ class TorusElement:
 
     # -- norms and comparison ----------------------------------------------------
 
-    def coeff_norm2(self) -> float:
-        """The l2 norm of the coefficient vector: sqrt(trace(a* a))."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self._coeffs.values()))
-
     def coeff_sup(self) -> float:
         return max((abs(c) for c in self._coeffs.values()), default=0.0)
 

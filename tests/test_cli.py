@@ -3,7 +3,9 @@
 import configparser
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ncqbm.cli import ConfigError, ExperimentConfig, load_config, main, render_config
@@ -21,7 +23,7 @@ def test_default_config_is_valid():
     cfg = ExperimentConfig().validate()
     assert math.isclose(cfg.theta, (math.sqrt(5.0) - 1.0) / 2.0)
     assert cfg.seed == 0
-    assert cfg.dt is None
+    assert (cfg.convergent_count, cfg.engine, cfg.exit_paths) == (6, "both", 10000)
 
 
 def test_render_config_roundtrips_through_configparser(tmp_path):
@@ -40,7 +42,14 @@ def test_print_config_lists_every_section(capsys):
     assert set(parser.sections()) == {"experiment", "projection", "flow",
                                       "exit", "meet"}
     assert parser["experiment"]["theta"].startswith("0.618")
-    assert parser["flow"]["dt"] == "auto"
+    assert list(parser["flow"]) == ["sigma2", "n_paths", "time", "drift_mu", "drift_nu"]
+
+
+def test_readme_defaults_block_is_the_rendered_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("All defaults, as printed by `--print-config`:")[1]
+    block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert block == render_config(ExperimentConfig())
 
 
 def test_config_overrides_and_flag_precedence(tmp_path, capsys):
@@ -203,33 +212,33 @@ def test_exit_asymptotics_step_cap_is_reported_not_raised(tmp_path, monkeypatch,
     assert "step cap" in err and "Traceback" not in err
 
 
-def test_exit_asymptotics_coarse_dt_fails_check(tmp_path):
-    # At dt = 1e-4 the deepest levels' mean exit is one to a few steps; the
-    # fit still finds a slope, so only the mean_steps floor can catch it.
+def test_exit_asymptotics_flow_dt_key_is_input_error(tmp_path, capsys):
+    # Every level steps at a fixed count per mean exit; a config that still
+    # sets one dt for all levels is rejected before any path is sampled.
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[flow]\ndt = 0.0001\n[exit]\nengine = reduced\n")
-    assert run(["exit-asymptotics", "--config", str(cfg), "--paths", "2000",
-                "--out", str(tmp_path)]) == 1
-    warnings = json.loads((tmp_path / "exit_asymptotics.json").read_text())["warnings"]
-    assert any("level 5: mean exit in" in w and "below the floor of 8" in w
-               for w in warnings)
-    assert not any(w.startswith("level 0: mean exit") for w in warnings)
+    out = tmp_path / "out"
+    assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config key [flow] dt" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_exit_asymptotics_unfittable_estimates_fail_check(tmp_path):
-    # At dt = 1e-3 every level is below the step floor and the deepest paths
-    # all die in step 1, so gamma stops following any power law.  The run is
-    # a failed check with both reasons, not an input error without output.
+def test_exit_asymptotics_unfittable_estimates_fail_check(tmp_path, monkeypatch):
+    # Every level exits at the same step and dt, so gamma is flat in v and
+    # follows no power law.  The run is a failed check with the reason, not
+    # an input error without output.
+    monkeypatch.setattr("ncqbm.exit_times._exit_steps",
+                        lambda family, index, engine, n_paths, *rest, **kw:
+                        (np.full(n_paths, 20, dtype=np.int64), 1e-3))
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[flow]\ndt = 0.001\n[exit]\nengine = reduced\n")
+    cfg.write_text("[exit]\nengine = reduced\n")
     assert run(["exit-asymptotics", "--config", str(cfg), "--paths", "2000",
                 "--out", str(tmp_path)]) == 1
     rows = (tmp_path / "exit_asymptotics.csv").read_text().strip().split("\n")
     assert rows[0] == "n,k_n,v_n,gamma_n,stderr" and len(rows) == 7
+    assert len({row.split(",")[3] for row in rows[1:]}) == 1
     payload = json.loads((tmp_path / "exit_asymptotics.json").read_text())
     warnings = payload["warnings"]
-    for i in range(6):
-        assert any(w.startswith(f"level {i}: mean exit in") for w in warnings)
     assert warnings[-1].startswith("fit failed: no asymptotic detected")
     assert "d" not in payload and "c1" not in payload
 

@@ -143,19 +143,29 @@ def test_default_step_count_near_target():
     assert 13.5 < est.mean_steps < 18.5
 
 
-def test_step_cap_scales_with_explicit_dt(monkeypatch):
-    # The cap counts mean exit times of the level, so a dt finer than the
-    # default grid moves it: at dt = mean/1024 a 16-mean-exit cap is 16384
-    # steps, where a cap tied to the default grid would stop at 16 * 64.
+def test_step_cap_scales_with_steps(monkeypatch):
+    # The cap counts mean exit times of the level, so a grid finer than the
+    # default moves it: at 1024 steps per mean exit a 16-mean-exit cap is
+    # 16384 steps, where a cap tied to the default grid would stop at 16 * 64.
     monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 16)
     fam = ExitFamily.golden(3)
     sigma2 = 2.0
-    dt = exit_time_mean_exact(fam.levels[1].half_width, sigma2) / 1024
-    exits, _ = _exit_steps(fam, 1, "reduced", 200, dt, 3, sigma2)
+    exits, dt = _exit_steps(fam, 1, "reduced", 200, 3, sigma2, steps=1024)
+    assert dt == exit_time_mean_exact(fam.levels[1].half_width, sigma2) / 1024
     assert exits.max() > 16 * 64
     monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 1)
     with pytest.raises(RuntimeError, match="step cap"):
-        _exit_steps(fam, 1, "reduced", 200, dt, 3, sigma2)
+        _exit_steps(fam, 1, "reduced", 200, 3, sigma2, steps=1024)
+
+
+def test_steps_below_the_floor_are_rejected():
+    # Mean exit step is steps + 1/2, so the floor is checked before sampling.
+    fam = ExitFamily.golden(3)
+    with pytest.raises(ValueError, match="at least 8"):
+        gamma_estimate(fam, 1, n_paths=200, steps=7, seed=3)
+    est = gamma_estimate(fam, 1, n_paths=200, steps=8, seed=3)
+    assert est.dt == exit_time_mean_exact(fam.levels[1].half_width, est.sigma2) / 8
+    assert 6.5 < est.mean_steps < 10.5
 
 
 def test_engines_agree_bitwise_on_shared_streams():
@@ -184,7 +194,7 @@ def test_exit_step_law_matches_survival_series():
     fam = ExitFamily.golden(4)
     n = 20_000
     sigma2 = 2.0
-    exits, dt = _exit_steps(fam, 2, "reduced", n, None, 17, sigma2)
+    exits, dt = _exit_steps(fam, 2, "reduced", n, 17, sigma2)
     a = fam.levels[2].half_width
     steps = np.arange(1, int(exits.max()) + 1)
     empirical = (exits[None, :] > steps[:, None]).mean(axis=1)
@@ -211,7 +221,8 @@ def test_operator_engine_stops_where_the_lattice_fold_loses_the_state():
         dt = exit_time_mean_exact(level.half_width, sigma2) / 128
         scale = math.sqrt(sigma2 * dt)
         for seed in range(40):
-            (exit_step,), _ = _exit_steps(fam, index, "operator", 1, dt, seed, sigma2)
+            (exit_step,), _ = _exit_steps(fam, index, "operator", 1, seed, sigma2,
+                                          steps=128)
             # A one-path chunk draws one normal, then one uniform, per step.
             rng = stream_rng(seed, 3, 0, index, 0)
             w = np.zeros(exit_step + 1)
@@ -242,9 +253,21 @@ def test_both_engines_unbiased_at_1e5_paths():
 
 def test_independent_stream_tag_gives_new_paths():
     fam = ExitFamily.golden(3)
-    default, _ = _exit_steps(fam, 1, "operator", 500, None, 9, 2.0)
-    other, _ = _exit_steps(fam, 1, "operator", 500, None, 9, 2.0, stream=1)
+    default, _ = _exit_steps(fam, 1, "operator", 500, 9, 2.0)
+    other, _ = _exit_steps(fam, 1, "operator", 500, 9, 2.0, stream=1)
     assert not np.array_equal(default, other)
+
+
+def test_estimates_record_their_stream_tag():
+    fam = ExitFamily.golden(3)
+    default = gamma_estimate(fam, 1, "operator", n_paths=300, seed=9)
+    other = gamma_estimate(fam, 1, "operator", n_paths=300, seed=9, stream=1)
+    assert (default.seed, default.stream) == (9, 0)
+    assert (other.seed, other.stream) == (9, 1)
+    assert other.gamma != default.gamma
+    cmp = run_survival_comparison(fam, 1, n_paths=300, seed=9)
+    assert cmp.reduced.stream == cmp.operator.stream == 0
+    assert cmp.operator.gamma == default.gamma
 
 
 def test_sweep_levels_are_single_level_estimates_at_the_same_seed():
