@@ -24,8 +24,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .banded import (BandedElement, CircleFunction, RieffelProjectionSpec, _frac,
-                     banded_mul, build_rieffel_projection, indicator_banded,
+from .banded import (BAND_DROP_TOL, BandedElement, CircleFunction, RieffelProjectionSpec,
+                     _frac, banded_mul, build_rieffel_projection, indicator_banded,
                      star_banded, supdiff, translate_action)
 
 
@@ -143,6 +143,9 @@ class MeetReport:
     converged: bool
     band_sups: dict[int, float]
     hermitian_defect: float
+    # Squaring at which the residual first reached tol (None if it never did);
+    # a diagnostic, left out of to_json.
+    first_hit: Optional[int] = None
 
     def to_json(self) -> str:
         arcs = threshold_arcs(np.real(self.result.band(0).samples))
@@ -195,11 +198,18 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
     the residual rule at once although its limit is 0; the forced squarings
     drive it down to where the residual sees it.  Non-convergence within
     max_iter is flagged on the report, not raised.
+
+    Bare tail: once the residual first reaches tol on a diagonal iterate,
+    the forced squarings before the last can stop nothing but a divergence,
+    so they run as bare band-0 multiplies checked once (_bare_squarings).
+    The last goes through the checked loop: every output is that of
+    squaring step by step.
     """
     r = banded_mul(p, q)
     iterations = 0
     residual = math.inf
     diverged = False
+    first_hit = None
     while iterations < max_iter:
         r2, residual = _square(r)
         iterations += 1
@@ -211,18 +221,24 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
             diverged = True
             break
         r = r2
-        if residual <= tol and iterations >= min_iter:
-            break
+        if residual <= tol:
+            if first_hit is None:
+                first_hit = iterations
+                r, iterations = _bare_squarings(r, iterations,
+                                                min(min_iter, max_iter) - 1)
+            if iterations >= min_iter:
+                break
     herm = supdiff(star_banded(r), r)
     return MeetReport(result=r, iterations=iterations, final_residual=residual,
                       converged=not diverged and residual <= tol,
-                      band_sups=r.band_sups(), hermitian_defect=herm)
+                      band_sups=r.band_sups(), hermitian_defect=herm,
+                      first_hit=first_hit)
 
 
 def _square(r: BandedElement) -> tuple[BandedElement, float]:
-    """r r and supdiff(r r, r).  A diagonal iterate, as every meet is in its
-    last squarings, is squared on its band-0 samples: banded_mul's and
-    supdiff's float ops without their per-band bookkeeping."""
+    """r r and supdiff(r r, r).  A diagonal iterate, as a meet is by the
+    time its residual first reaches tol, is squared on its band-0 samples:
+    banded_mul's and supdiff's float ops without their per-band bookkeeping."""
     f = r.bands.get(0)
     if f is None or len(r.bands) > 1:
         r2 = banded_mul(r, r)
@@ -232,6 +248,32 @@ def _square(r: BandedElement) -> tuple[BandedElement, float]:
     # A dropped square leaves supdiff(0, r) = sup |f|.
     residual = float(np.abs(f2 - f.samples).max()) if r2.bands else r.band_sups()[0]
     return r2, residual
+
+
+def _bare_squarings(r: BandedElement, iterations: int,
+                    last: int) -> tuple[BandedElement, int]:
+    """Square a diagonal r from `iterations` up to `last` squarings as bare
+    band-0 multiplies, or return (r, iterations) unchanged.
+
+    The squares g are kept only if BAND_DROP_TOL < sup |g| <= 2 (a NaN fails
+    the comparison), which shows that no skipped check would have fired.
+    Squaring moves each sample's modulus monotonically: one at most
+    1 stays at most 1, one above 1 grows at every squaring.  So a band that
+    dropped on the way would still be below BAND_DROP_TOL, and samples that
+    end at modulus <= 2 never passed the 1e6 divergence bound.
+    """
+    f = r.bands.get(0)
+    if f is None or len(r.bands) > 1 or last <= iterations:
+        return r, iterations
+    g = f.samples
+    # A diverging tail overflows here; it is thrown away, so stay quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(last - iterations):
+            g = g * g
+        sup = float(np.abs(g).max())
+    if not BAND_DROP_TOL < sup <= 2.0:
+        return r, iterations
+    return BandedElement(r.context, {0: CircleFunction(g)}, r.n), last
 
 
 # -- closed-form meet ------------------------------------------------------------------------
@@ -271,10 +313,11 @@ def compare_iterative_to_closed_form(spec: RieffelProjectionSpec, s: float, t: f
                                      ) -> tuple[float, MeetReport, IntervalSet]:
     """Sup-difference between the iterated meet and chi_S(U) on the grid."""
     p = build_rieffel_projection(spec, n)
+    # The closed form checks the meet hypotheses, before any squaring.
+    arcs = meet_closed_form(spec, s, t, s2, t2)
     a = translate_action(p, s, t)
     b = translate_action(p, s2, t2)
     report = meet_pair_iterative(a, b, max_iter=max_iter, tol=tol)
-    arcs = meet_closed_form(spec, s, t, s2, t2)
     target = indicator_banded(a.context, arcs.arcs, n)
     return supdiff(report.result, target), report, arcs
 

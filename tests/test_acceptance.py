@@ -80,6 +80,7 @@ def test_criterion_02_meet_oracle_equivalence():
 
 
 def test_criterion_03_path_meets_lie_in_diagonal_algebra():
+    start = time.perf_counter()
     spec = RieffelProjectionSpec(theta=GOLDEN, epsilon=GOLDEN / 4.0, scale_k=1)
     worst = 0.0
     for k in range(100):
@@ -92,7 +93,9 @@ def test_criterion_03_path_meets_lie_in_diagonal_algebra():
         arcs = meet_along_path(spec, path)
         trace = float(np.real(np.mean(fold.result.band(0).samples)))
         assert abs(trace - arcs.intervals.measure()) < 0.06
+    elapsed = time.perf_counter() - start
     assert worst < 1e-8, f"worst off-diagonal band sup {worst:.3e}"
+    assert elapsed < 30.0, f"path meets took {elapsed:.2f}s"
 
 
 def test_criterion_04_heat_semigroup_monte_carlo(capsys):

@@ -2,19 +2,22 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncqbm import lattice
 from ncqbm.banded import (BandedElement, CircleFunction, RieffelProjectionSpec,
                           banded_mul, build_rieffel_projection, indicator_banded,
                           supdiff, translate_action)
+from ncqbm.flow import sample_path, stream_rng
 from ncqbm.lattice import (DegenerateMeet, IntervalSet, _square,
                            compare_iterative_to_closed_form, meet_along_path,
-                           meet_closed_form, meet_pair_iterative, plateau_set,
-                           threshold_arcs)
+                           meet_along_path_operator, meet_closed_form,
+                           meet_pair_iterative, plateau_set, threshold_arcs)
 from ncqbm.torus import AlgebraContext
 
 from oracles import matrix_meet
@@ -225,12 +228,172 @@ def test_diagonal_value_above_one_diverges():
     assert all(math.isfinite(v) for v in report.band_sups.values())
 
 
+def stepwise_meet(p, q, max_iter=500, tol=1e-10, min_iter=60):
+    """meet_pair_iterative's stop rule with one checked _square per squaring."""
+    r = banded_mul(p, q)
+    iterations, residual, diverged = 0, math.inf, False
+    while iterations < max_iter:
+        r2, residual = _square(r)
+        iterations += 1
+        if not math.isfinite(residual) or residual > 1e6 or \
+                not all(math.isfinite(s) for s in r2.band_sups().values()):
+            diverged = True
+            break
+        r = r2
+        if residual <= tol and iterations >= min_iter:
+            break
+    return r, iterations, residual, not diverged and residual <= tol
+
+
+def assert_same_as_stepwise(p, q, report, **kwargs):
+    r, iterations, residual, converged = stepwise_meet(p, q, **kwargs)
+    assert report.iterations == iterations
+    assert report.converged == converged
+    assert report.final_residual == residual
+    assert report.band_sups == r.band_sups()
+    assert set(report.result.bands) == set(r.bands)
+    for k, f in r.bands.items():
+        assert report.result.bands[k].samples.tobytes() == f.samples.tobytes()
+
+
+def count_squares(monkeypatch):
+    calls = []
+    real = lattice._square
+
+    def counting(r):
+        calls.append(1)
+        return real(r)
+
+    monkeypatch.setattr(lattice, "_square", counting)
+    return calls
+
+
+NEAR_ONE = 1.0 - 2.0 ** -40
+
+
+def near_one_mix():
+    values = np.zeros(64)
+    values[10:30] = 1.0
+    values[[12, 20, 40]] = NEAR_ONE
+    return values
+
+
+# (values, meet_pair_iterative kwargs, whether the bare tail is kept)
+DIAGONAL_CASES = {
+    "near-one": (near_one_mix(), {}, True),
+    "near-one-path-fold": (near_one_mix(), {"min_iter": 40}, True),
+    "max-iter-below-min-iter": (near_one_mix(), {"max_iter": 30}, True),
+    "min-iter-one": (near_one_mix(), {"min_iter": 1}, False),
+    # Pass tol at once, then diverge in the tail: step-by-step fallback.
+    # The first overflows to inf and NaN, the second stays finite (e^128).
+    "above-one-diverges": (np.full(64, 1.0 + 2.0 ** -40), {}, False),
+    "just-above-one-diverges": (np.full(64, 1.0 + 2.0 ** -52), {}, False),
+    # Every sample decays under the drop rule before squaring 60.
+    "empties": (np.full(64, NEAR_ONE), {}, False),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
+def test_bare_tail_matches_stepwise_squaring(case, monkeypatch):
+    values, kwargs, bare = DIAGONAL_CASES[case]
+    p = diagonal(values)
+    q = BandedElement.identity(p.context, 64)
+    squares = count_squares(monkeypatch)
+    report = meet_pair_iterative(p, q, **kwargs)
+    assert report.first_hit == 1
+    # A kept tail runs squarings 2 .. limit - 1 as bare multiplies.
+    limit = min(kwargs.get("min_iter", 60), kwargs.get("max_iter", 500))
+    bare_count = limit - 2 if bare else 0
+    assert len(squares) == report.iterations - bare_count
+    assert_same_as_stepwise(p, q, report, **kwargs)
+    if case == "empties":
+        assert report.converged and report.final_residual == 0.0
+        assert not report.result.bands
+    if case.endswith("above-one-diverges"):
+        assert not report.converged and report.iterations < 60
+
+
+@pytest.fixture(scope="module")
+def criterion_meets():
+    """Every meet_pair_iterative call of the 50 criterion-2 tuples and of 5
+    criterion-3 paths, as (p, q, kwargs, report), made with RuntimeWarnings
+    raised as errors."""
+    spec = RieffelProjectionSpec(theta=GOLDEN, epsilon=GOLDEN / 4.0, scale_k=1)
+    eps = spec.epsilon
+    calls = {"criterion-2": [], "criterion-3": []}
+    real = lattice.meet_pair_iterative
+    part = None
+
+    def recording(p, q, **kwargs):
+        report = real(p, q, **kwargs)
+        calls[part].append((p, q, kwargs, report))
+        return report
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(lattice, "meet_pair_iterative", recording)
+        part = "criterion-2"
+        rng = stream_rng(20260815, 50)
+        for _ in range(50):
+            s = float(rng.uniform(0.0, 1.0))
+            t = float(rng.uniform(0.0, 1.0))
+            s2 = s + float(rng.uniform(-1.0, 1.0)) * 0.99 * eps / 4.0
+            t2 = float(rng.uniform(0.0, 1.0))
+            compare_iterative_to_closed_form(spec, s, t, s2, t2, n=2048, max_iter=500)
+        part = "criterion-3"
+        for k in range(5):
+            path = sample_path(dim=2, horizon=0.02, dt=0.005, sigma2=1.0, seed=3000 + k)
+            meet_along_path_operator(spec, path, n=512, min_iter=40)
+    return calls
+
+
+def test_criterion_meets_match_stepwise_squaring(criterion_meets):
+    assert len(criterion_meets["criterion-2"]) == 50
+    assert len(criterion_meets["criterion-3"]) > 5
+    for calls in criterion_meets.values():
+        for p, q, kwargs, report in calls:
+            assert_same_as_stepwise(p, q, report, **kwargs)
+
+
+def test_criterion_2_first_hits_precede_the_forced_squarings(criterion_meets):
+    # The residual rule alone would stop each meet at its first hit; the
+    # rest of the 60 squarings are forced by min_iter.
+    reports = [call[-1] for call in criterion_meets["criterion-2"]]
+    hits = [report.first_hit for report in reports]
+    assert all(11 <= h <= 30 for h in hits), hits
+    assert all(report.iterations == 60 for report in reports)
+
+
+def test_meet_hypotheses_are_checked_before_any_squaring(monkeypatch):
+    calls = []
+    real = lattice.meet_pair_iterative
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "meet_pair_iterative", counting)
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    eps = spec.epsilon
+    # meet-demo's deliberate violation row: s' = s + 1.5 eps/4.
+    with pytest.raises(ValueError, match="CHI hypothesis violated"):
+        compare_iterative_to_closed_form(spec, 0.3, 0.0, 0.3 + 1.5 * eps / 4.0, 0.0, n=256)
+    with pytest.raises(DegenerateMeet):
+        compare_iterative_to_closed_form(spec, 0.3, 0.4, 0.3, 0.4, n=256)
+    assert calls == []
+    compare_iterative_to_closed_form(spec, 0.3, 0.0, 0.3 + eps / 8.0, 0.0, n=256)
+    assert calls == [1]
+
+
 def test_meet_report_json():
     spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
     diff, report, arcs = compare_iterative_to_closed_form(
         spec, 0.3, 0.1, 0.3, 0.7, n=512)
     payload = json.loads(report.to_json())
     assert set(payload) >= {"iterations", "residual", "converged", "arcs"}
+    # first_hit is a diagnostic: the JSON bytes do not carry it.
+    assert report.first_hit is not None and "first_hit" not in payload
     got = IntervalSet([tuple(p) for p in payload["arcs"]])
     assert all(abs(x[0] - y[0]) < 2e-3 and abs(x[1] - y[1]) < 2e-3
                for x, y in zip(got.arcs, arcs.arcs))
