@@ -77,11 +77,6 @@ class BrownianPath:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def max_increment(self) -> float:
-        if self.values.shape[0] < 2:
-            return 0.0
-        return float(np.max(np.abs(np.diff(self.values, axis=0))))
-
     def refine(self) -> "BrownianPath":
         """Brownian-bridge midpoint refinement; existing points are kept.
 

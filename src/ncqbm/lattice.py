@@ -10,9 +10,9 @@ Two routes to the meet p wedge q of trapezoid-projection translates:
   of the intersection S of the translated plateaus.
 
 Interval sets (finite unions of half-open arcs [a,b) in [0,1) mod 1) carry
-the closed-form side, and meet_along_path folds plateau translates along a
-sampled Brownian path, refining the path until consecutive increments are
-below eps/4.
+the closed-form side.  Along a sampled Brownian path, meet_along_path folds
+plateau translates and meet_along_path_operator the operator translates;
+both first refine the path until every component's step is below eps/4.
 """
 
 from __future__ import annotations
@@ -100,9 +100,6 @@ class IntervalSet:
                 if lo < hi:
                     out.append((lo, hi))
         return IntervalSet(out, normalized=True)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(list(self.arcs) + list(other.arcs))
 
     def contains(self, x: float) -> bool:
         x = _frac(x)
@@ -236,18 +233,9 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
 
 
 def _square(r: BandedElement) -> tuple[BandedElement, float]:
-    """r r and supdiff(r r, r).  A diagonal iterate, as a meet is by the
-    time its residual first reaches tol, is squared on its band-0 samples:
-    banded_mul's and supdiff's float ops without their per-band bookkeeping."""
-    f = r.bands.get(0)
-    if f is None or len(r.bands) > 1:
-        r2 = banded_mul(r, r)
-        return r2, supdiff(r2, r)
-    f2 = f.samples * f.samples
-    r2 = BandedElement(r.context, {0: CircleFunction(f2)}, r.n)
-    # A dropped square leaves supdiff(0, r) = sup |f|.
-    residual = float(np.abs(f2 - f.samples).max()) if r2.bands else r.band_sups()[0]
-    return r2, residual
+    """r r and its residual supdiff(r r, r)."""
+    r2 = banded_mul(r, r)
+    return r2, supdiff(r2, r)
 
 
 def _bare_squarings(r: BandedElement, iterations: int,
@@ -334,27 +322,42 @@ class PathMeetResult:
     n_points: int
 
 
+def _refine_path(path, eps: float, levels: int) -> tuple[np.ndarray, int, float]:
+    """The samples of `path` bridge-refined until every component's step is
+    below eps/4, the refinements used and the largest step left.
+
+    Both path folds refine by this rule, so they meet the same samples.  A
+    bare 1-D array is its own first component.  If `levels` refinements do
+    not get there, or the path cannot refine, raises "path too rough for eps".
+    """
+    levels_used = 0
+    while True:
+        values = np.asarray(getattr(path, "values", path), dtype=float)
+        step = float(np.max(np.abs(np.diff(values, axis=0)))) if values.shape[0] > 1 else 0.0
+        if not step >= eps / 4.0:  # NaN compares false: no refinement
+            return values, levels_used, step
+        if levels_used >= levels or not hasattr(path, "refine"):
+            raise ValueError("path too rough for eps: refine below eps/4 failed")
+        path = path.refine()
+        levels_used += 1
+
+
 def meet_along_path(spec: RieffelProjectionSpec, path, levels: int = 24,
                     state_angle: Optional[float] = None) -> PathMeetResult:
     """Fold of plateau translates along a sampled Brownian path.
 
     The set is the intersection over samples s_i of the translated plateau
     [eps, theta_e) - W(s_i), where W is the first path component.  The path
-    is bridge-refined until consecutive increments fall below eps/4; if
-    `levels` refinements do not get there, raises "path too rough for eps".
+    is first bridge-refined until every component's step is below eps/4,
+    the rule meet_along_path_operator shares (_refine_path); if `levels`
+    refinements do not get there, raises "path too rough for eps".
+    `max_increment` is the largest step left, over every component.
 
     When state_angle is given, `survived` reports whether that angle lies in
     the final intersection.
     """
-    eps = spec.epsilon
-    levels_used = 0
-    w = _first_component(path)
-    while w.size > 1 and float(np.max(np.abs(np.diff(w)))) >= eps / 4.0:
-        if levels_used >= levels or not hasattr(path, "refine"):
-            raise ValueError("path too rough for eps: refine below eps/4 failed")
-        path = path.refine()
-        levels_used += 1
-        w = _first_component(path)
+    values, levels_used, max_inc = _refine_path(path, spec.epsilon, levels)
+    w = values[:, 0] if values.ndim == 2 else values
     plat = plateau_set(spec)
     out = IntervalSet.full()
     for wi in w:
@@ -362,15 +365,7 @@ def meet_along_path(spec: RieffelProjectionSpec, path, levels: int = 24,
         if out.is_empty:
             break
     survived = out.contains(state_angle) if state_angle is not None else None
-    max_inc = float(np.max(np.abs(np.diff(w)))) if w.size > 1 else 0.0
     return PathMeetResult(out, survived, levels_used, max_inc, int(w.size))
-
-
-def _first_component(path) -> np.ndarray:
-    values = np.asarray(getattr(path, "values", path), dtype=float)
-    if values.ndim == 2:
-        values = values[:, 0]
-    return values
 
 
 @dataclass
@@ -383,33 +378,30 @@ class OperatorPathMeet:
 
 
 def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
-                             levels: int = 24, min_iter: int = 40,
-                             range_quantum: Optional[float] = None
-                             ) -> OperatorPathMeet:
+                             levels: int = 24, min_iter: int = 40) -> OperatorPathMeet:
     """Iterated operator meet of the projection translates along a path.
 
-    The path is bridge-refined until consecutive increments fall below
-    eps/4, as in `meet_along_path`.  A sample whose first component lies
-    inside the running range [min W, max W] translates the plateau onto a
-    superset of the current intersection, so meeting with it changes
-    nothing (lattice absorption) and it is skipped.  Samples are folded
-    only when they extend the range by at least `range_quantum` (default
-    max(eps/16, 8/n)): a smaller extension leaves no spectral gap between
-    the running meet and the new factor, and the squaring iteration then
-    amplifies grid noise instead of converging.  The skipped extensions
-    lag the exact sampled meet by at most one quantum per edge, which the
-    off-diagonal bands do not see.
+    The path is first bridge-refined until every component's step is below
+    eps/4, the rule meet_along_path shares (_refine_path), so the two folds
+    meet the same samples.  A sample whose first component lies inside the
+    running range [min W, max W] translates the plateau onto a superset of
+    the current intersection, so meeting with it changes nothing (lattice
+    absorption) and it is skipped.  Samples are folded only when they
+    extend the range by at least the quantum q = max(eps/16, 8/n): a
+    smaller extension leaves no spectral gap between the running meet and
+    the new factor, and the squaring iteration then amplifies grid noise
+    instead of converging.  The skipped extensions lag the exact sampled
+    meet by at most one quantum per edge, which the off-diagonal bands do
+    not see.
+
+    A first component that moves but never leaves [W_0 - q, W_0 + q] folds
+    nothing: the result is the unmet projection, reported with
+    converged=False.  A constant first component is absorbed exactly, and
+    the projection is then its converged meet.
     """
     eps = spec.epsilon
-    if range_quantum is None:
-        range_quantum = max(eps / 16.0, 8.0 / n)
-    levels_used = 0
-    while path.max_increment() >= eps / 4.0:
-        if levels_used >= levels or not hasattr(path, "refine"):
-            raise ValueError("path too rough for eps: refine below eps/4 failed")
-        path = path.refine()
-        levels_used += 1
-    values = np.asarray(path.values, dtype=float)
+    quantum = max(eps / 16.0, 8.0 / n)
+    values, levels_used, _ = _refine_path(path, eps, levels)
     if values.ndim != 2 or values.shape[1] != 2:
         raise ValueError("operator path meet needs a 2-component path")
     p = build_rieffel_projection(spec, n)
@@ -419,7 +411,7 @@ def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
     converged = True
     for i in range(1, values.shape[0]):
         w1 = float(values[i, 0])
-        if lo - range_quantum <= w1 <= hi + range_quantum:
+        if lo - quantum <= w1 <= hi + quantum:
             continue
         report = meet_pair_iterative(
             r, translate_action(p, w1, float(values[i, 1])), min_iter=min_iter)
@@ -429,6 +421,8 @@ def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
         n_factors += 1
         if max(r.band_sups().values(), default=0.0) < 1e-12:
             break
+    if n_factors == 1 and np.any(values[:, 0] != lo):
+        converged = False
     return OperatorPathMeet(result=r, n_factors=n_factors,
                             n_samples=int(values.shape[0]),
                             converged=converged, levels_used=levels_used)

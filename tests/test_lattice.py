@@ -14,7 +14,7 @@ from ncqbm.banded import (BandedElement, CircleFunction, RieffelProjectionSpec,
                           banded_mul, build_rieffel_projection, indicator_banded,
                           supdiff, translate_action)
 from ncqbm.flow import sample_path, stream_rng
-from ncqbm.lattice import (DegenerateMeet, IntervalSet, _square,
+from ncqbm.lattice import (DegenerateMeet, IntervalSet,
                            compare_iterative_to_closed_form, meet_along_path,
                            meet_along_path_operator, meet_closed_form,
                            meet_pair_iterative, plateau_set, threshold_arcs)
@@ -185,20 +185,6 @@ def diagonal(values, n=64):
                          {0: CircleFunction(np.asarray(values, dtype=complex))}, n)
 
 
-def test_diagonal_squaring_matches_banded_route():
-    # The band-0 shortcut must give banded_mul's square and supdiff's
-    # residual bit for bit, also when the square falls under the drop rule.
-    rng = np.random.default_rng(5)
-    for values in (rng.uniform(0.0, 1.0, 64), np.full(64, 2e-8), np.full(64, 0.5 + 0.25j)):
-        r = diagonal(values)
-        r2, residual = _square(r)
-        want = banded_mul(r, r)
-        assert set(r2.bands) == set(want.bands)
-        for k in want.bands:
-            assert np.array_equal(r2.bands[k].samples, want.bands[k].samples)
-        assert residual == supdiff(want, r)
-
-
 def test_forced_squarings_clear_values_near_one():
     # lambda = 1 - 2^-40 has residual lambda (1 - lambda) ~ 9e-13 < tol at the
     # first squaring, yet its limit is 0: the min_iter floor must get it there.
@@ -229,11 +215,12 @@ def test_diagonal_value_above_one_diverges():
 
 
 def stepwise_meet(p, q, max_iter=500, tol=1e-10, min_iter=60):
-    """meet_pair_iterative's stop rule with one checked _square per squaring."""
+    """meet_pair_iterative's stop rule with one checked squaring per step."""
     r = banded_mul(p, q)
     iterations, residual, diverged = 0, math.inf, False
     while iterations < max_iter:
-        r2, residual = _square(r)
+        r2 = banded_mul(r, r)
+        residual = supdiff(r2, r)
         iterations += 1
         if not math.isfinite(residual) or residual > 1e6 or \
                 not all(math.isfinite(s) for s in r2.band_sups().values()):
@@ -411,7 +398,7 @@ class StubPath:
     def refine(self):
         v = self.values
         mids = (v[:-1] + v[1:]) / 2.0
-        out = np.empty(2 * v.size - 1)
+        out = np.empty((2 * len(v) - 1,) + v.shape[1:])
         out[::2] = v
         out[1::2] = mids
         return StubPath(out)
@@ -443,6 +430,17 @@ def test_meet_along_path_refines_rough_path():
     res = meet_along_path(spec, StubPath([0.0, eps]))
     assert res.levels_used >= 2
     assert res.max_increment < eps / 4.0
+
+
+def test_meet_along_path_refines_on_every_component():
+    # The second component sets the refinement as well: both folds refine
+    # by one rule, so they meet the same samples.
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    eps = spec.epsilon
+    path = StubPath([[0.0, 0.0], [eps / 8.0, eps]])
+    res = meet_along_path(spec, path)
+    assert res.levels_used == 3 and res.n_points == 9
+    assert res.max_increment == eps / 8.0
 
 
 def test_meet_along_path_too_rough():
@@ -480,15 +478,20 @@ def test_meet_along_path_operator_matches_interval_fold():
     from ncqbm.lattice import meet_along_path_operator
 
     spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    n = 512
+    # Error budget: the operator fold lags the sampled intersection by at
+    # most one range quantum q per edge, and each edge rounds to the grid.
+    q = max(spec.epsilon / 16.0, 8.0 / n)
     for seed in (3017, 3001, 3002):
         path = sample_path(dim=2, horizon=0.02, dt=0.005, sigma2=1.0, seed=seed)
-        fold = meet_along_path_operator(spec, path, n=512)
+        fold = meet_along_path_operator(spec, path, n=n)
         assert fold.converged
         assert fold.result.off_diagonal_sup() < 1e-10
         assert 1 <= fold.n_factors < fold.n_samples
         arcs = meet_along_path(spec, path)
+        assert (arcs.levels_used, arcs.n_points) == (fold.levels_used, fold.n_samples)
         trace = float(np.real(np.mean(fold.result.band(0).samples)))
-        assert abs(trace - arcs.intervals.measure()) < 0.06
+        assert -2.0 / n <= trace - arcs.intervals.measure() <= 2.0 * q + 2.0 / n
 
 
 def test_meet_along_path_operator_absorbs_constant_path():
@@ -501,5 +504,17 @@ def test_meet_along_path_operator_absorbs_constant_path():
     fold = meet_along_path_operator(spec, path, n=256)
     # Every later sample is absorbed, so the fold is the projection itself.
     p = build_rieffel_projection(spec, n=256)
-    assert fold.n_factors == 1
+    assert fold.n_factors == 1 and fold.converged
     assert supdiff(fold.result, p) < 1e-12
+
+
+def test_meet_along_path_operator_folding_nothing_is_not_converged():
+    # The first component moves, but within one range quantum of W_0: no
+    # sample is folded, and the unmet projection is no meet of the path.
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    path = sample_path(dim=2, horizon=1e-5, dt=2.5e-6, sigma2=1.0, seed=1)
+    assert np.ptp(path.values[:, 0]) > 0.0
+    fold = meet_along_path_operator(spec, path, n=512)
+    assert fold.n_factors == 1
+    assert fold.result.off_diagonal_sup() > 0.1
+    assert not fold.converged
