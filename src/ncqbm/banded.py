@@ -244,11 +244,6 @@ class CircleFunction:
         exact = self.exact.conjugated() if self.exact is not None else None
         return CircleFunction(np.conj(self.samples), exact)
 
-    def exact_matches_grid(self, tol: float = 1e-14) -> bool:
-        if self.exact is None:
-            return True
-        return float(np.max(np.abs(self.exact.eval(grid(self.n)) - self.samples))) <= tol
-
 
 # -- banded elements ---------------------------------------------------------------------
 
@@ -284,10 +279,6 @@ class BandedElement:
     @classmethod
     def identity(cls, context: AlgebraContext, n: int = DEFAULT_GRID) -> "BandedElement":
         return cls(context, {0: CircleFunction.const(1.0, n)}, n)
-
-    @classmethod
-    def from_band(cls, context: AlgebraContext, k: int, f: CircleFunction) -> "BandedElement":
-        return cls(context, {k: f}, f.n)
 
     def band(self, k: int) -> CircleFunction:
         f = self.bands.get(k)

@@ -34,12 +34,9 @@ from .banded import (
     translate_action,
 )
 from .exit_times import (
-    ENGINE_AGREEMENT_ALPHA,
     ExitFamily,
     StepCapExceeded,
-    agreement_z_max,
     extract_invariants,
-    gamma_estimate,
     paper_series_check,
     run_exit_asymptotics,
 )
@@ -74,7 +71,6 @@ class ExperimentConfig:
     drift_nu: float = 0.0
     # exit-time study
     convergent_count: int = 6
-    engine: str = "both"
     analytic: bool = False
     exit_sigma2: float = 2.0
     exit_paths: int = 10000
@@ -101,8 +97,6 @@ class ExperimentConfig:
         # The power-law fit needs at least 4 levels.
         if not (4 <= self.convergent_count <= 20):
             raise ConfigError("convergent_count must be between 4 and 20")
-        if self.engine not in ("reduced", "operator", "both"):
-            raise ConfigError("engine must be reduced, operator, or both")
         if self.meet_tuples < 1:
             raise ConfigError("meet_tuples must be at least 1")
         if self.meet_grid < 8:
@@ -135,7 +129,6 @@ _SCHEMA = {
     ("flow", "drift_mu"): ("drift_mu", float),
     ("flow", "drift_nu"): ("drift_nu", float),
     ("exit", "convergent_count"): ("convergent_count", int),
-    ("exit", "engine"): ("engine", str),
     ("exit", "analytic"): ("analytic", _parse_bool),
     ("exit", "sigma2"): ("exit_sigma2", float),
     ("exit", "n_paths"): ("exit_paths", int),
@@ -321,7 +314,11 @@ def cmd_semigroup_check(cfg: ExperimentConfig) -> int:
             "stderr": est.stderr,
             "z": z,
         })
-    ok = worst <= 4.0
+    # Each correct z is ~|N(0, 1)|, so a correct run fails with probability
+    # P(|N| > z_max) per coefficient, at most the sum over all of them.
+    z_max = 4.0
+    ok = worst <= z_max
+    per_coefficient = math.erfc(z_max / math.sqrt(2.0))
     payload = {
         "t": cfg.time,
         "sigma2": cfg.sigma2,
@@ -329,6 +326,9 @@ def cmd_semigroup_check(cfg: ExperimentConfig) -> int:
         "n_paths": cfg.n_paths,
         "coefficients": records,
         "max_z": worst,
+        "budget": {"z_max": z_max,
+                   "false_failure_per_coefficient": per_coefficient,
+                   "false_failure_rate": len(records) * per_coefficient},
         "passed": ok,
     }
     path = _write_text(cfg.out, "semigroup_check.json",
@@ -359,39 +359,29 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
         return 0
 
     family = ExitFamily.from_convergents(cfg.theta, cfg.convergent_count)
-    primary_engine = "reduced" if cfg.engine in ("reduced", "both") else "operator"
-    report = run_exit_asymptotics(family, engine=primary_engine,
-                                  n_paths=cfg.exit_paths, seed=cfg.seed,
+    report = run_exit_asymptotics(family, n_paths=cfg.exit_paths, seed=cfg.seed,
                                   sigma2=cfg.exit_sigma2)
-    warnings = [f"level {i}: truncation bound above 1% of gamma"
-                for i, est in enumerate(report.estimates) if est.truncation_flagged]
+    # Each level was sampled once under both survival rules; the run fails
+    # unless the rules gave equal exit steps on every path.
+    warnings = []
+    agreement = []
+    for i, est in enumerate(report.estimates):
+        red, op = est.survival.reduced, est.survival.operator
+        agreement.append({"v": est.v, "reduced": red.gamma, "operator": op.gamma,
+                          "masks_equal": est.survival.indicators_equal,
+                          "gap": op.gamma - red.gamma, "tail": op.tail})
+        if not est.survival.indicators_equal:
+            warnings.append(f"level {i}: survival rules disagree, first at step "
+                            f"{est.survival.first_disagreement}")
+        if op.truncation_flagged:
+            warnings.append(f"level {i}: operator tail above 1% of gamma")
     if report.fit is None:
         warnings.append(f"fit failed: {report.fit_error}")
     elif not report.fit.c2_resolved:
         warnings.append("c2 not resolved: H undetermined")
+    ok = report.fit is not None and all(row["masks_equal"] for row in agreement)
     summary = json.loads(report.to_json())
-    ok = report.fit is not None
-    if cfg.engine == "both":
-        # Operator run on its own stream (tag 1), independent of the reduced
-        # run; each level's z must stay below the threshold that holds the
-        # family-wise false-failure rate at alpha.
-        z_max = agreement_z_max(len(family.levels))
-        others = [gamma_estimate(family, i, "operator", cfg.exit_paths,
-                                 seed=cfg.seed, sigma2=cfg.exit_sigma2, stream=1)
-                  for i in range(len(family.levels))]
-        agreement = []
-        for red, op in zip(report.estimates, others):
-            combined = math.hypot(red.stderr, op.stderr)
-            z = abs(red.gamma - op.gamma) / combined if combined else 0.0
-            agreement.append({"v": red.v, "reduced": red.gamma,
-                              "operator": op.gamma, "z": z})
-            if z > z_max:
-                ok = False
-            if op.truncation_flagged:
-                warnings.append("operator engine truncation bound above 1%")
-        summary["engine_agreement"] = agreement
-        summary["engine_agreement_budget"] = {"alpha": ENGINE_AGREEMENT_ALPHA,
-                                              "z_max": z_max}
+    summary["engine_agreement"] = agreement
     summary["warnings"] = warnings
     csv_path = _write_text(cfg.out, "exit_asymptotics.csv", report.to_csv())
     json_path = _write_text(cfg.out, "exit_asymptotics.json",

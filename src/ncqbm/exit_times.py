@@ -17,21 +17,26 @@ continuous-time exit and the coarse grid leaves no monitoring bias.  Only
 the mid-step placement of the exit and the operator trapezoid depend on the
 grid; both err by O(dt^2), about (pi^2/8)/12/16^2 ~ 0.04% of gamma here.
 
-Every level draws from its own counter-based stream, keyed by (seed, stream
-tag, level, chunk): runs that must be independent differ in the tag, not in
-a shifted seed, so no two seeds share draws.
+Every level draws from its own counter-based stream, keyed by (seed, 3, 0,
+level, chunk), so no two seeds and no two levels share draws.
 
-Two Monte Carlo engines estimate the mean exit time gamma_n:
+One sampler runs each level once and applies two survival rules to every
+step of the same paths, as separate computations:
 
-* reduced: per-path first exit of W from the interval, gamma = mean of
-  (exit step - 1/2) * dt, the exit placed mid-step;
-* operator: per-path running interval-set state [eps - min W, theta_e - max W]
-  with survival of the state angle, gamma = trapezoid rule over the survival
-  curve with a truncated, bounded tail.
+* reduced: the current value of W lies in the interval;
+* operator: the running interval-set state [eps - min W, theta_e - max W]
+  still contains the state angle.
 
-Both engines draw the same normals and kill uniforms and evaluate survival
-through identical float comparisons, so their per-path indicators agree
-exactly; they differ only in how the tail of the survival curve is integrated.
+min(a, b) >= c is float-identical to (a >= c) & (b >= c) and both rules
+apply the same bridge kill, so correct rules give equal exit steps on every
+path.  The sampler records each rule's exits, and a difference is reported
+with the first step at which it occurs.  Two
+estimators of the mean exit time gamma_n read those exits:
+
+* reduced: gamma = mean of (exit step - 1/2) * dt, the exit placed mid-step;
+* operator: trapezoid rule over the survival curve, truncated where it falls
+  below SURVIVAL_TRUNCATION.  On equal exits it falls short of the reduced
+  estimate by exactly the realized tail it leaves out.
 
 The small-v asymptotics gamma ~ c1 v^{2/n0} + c2 v^{4/n0} yield an effective
 dimension and mean-curvature invariant; a classical circle benchmark with
@@ -42,8 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from statistics import NormalDist
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,8 +67,6 @@ MAX_MEAN_EXITS = 4096
 # Fewer steps per mean exit than this sample a level too coarsely for the
 # mid-step estimators and the one-edge bridge kill to hold.
 MIN_MEAN_STEPS = 8
-# Family-wise rate at which two correct engines fail the agreement check.
-ENGINE_AGREEMENT_ALPHA = 1e-3
 
 
 # -- continued fractions and the family -----------------------------------------------
@@ -169,41 +171,53 @@ def exit_time_oracle_exact(a: float, sigma2: float) -> float:
     return a * a / sigma2
 
 
-# -- survival engines ---------------------------------------------------------------------
+# -- survival rules and estimators ------------------------------------------------------------
 
 
 class StepCapExceeded(RuntimeError):
     """A chunk of paths ran past MAX_MEAN_EXITS mean exit times."""
 
 
-def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
-                seed: int, sigma2: float, stream: int = 0,
-                steps: int = STEPS_PER_MEAN_EXIT) -> tuple[np.ndarray, float]:
-    """Exit step of each path at one family level, and the step length dt.
+def _reduced_rule(w: np.ndarray, u: np.ndarray, p_lo: np.ndarray, p_hi: np.ndarray,
+                  lo: float, hi: float) -> np.ndarray:
+    """Reduced survival: W ends the step in [lo, hi] and its bridge crossed no edge."""
+    return (w >= lo) & (w <= hi) & (u >= p_hi + p_lo)
+
+
+def _operator_rule(run_min: np.ndarray, run_max: np.ndarray, u: np.ndarray,
+                   p_lo: np.ndarray, p_hi: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Operator survival: the state [eps - min W, theta_e - max W] keeps the
+    state angle, i.e. min W >= lo and max W <= hi, and no bridge crossed."""
+    return (run_min >= lo) & (run_max <= hi) & (u >= p_hi + p_lo)
+
+
+def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2: float,
+                steps: int = STEPS_PER_MEAN_EXIT) -> tuple[np.ndarray, np.ndarray, float]:
+    """Exit step of each path at one family level under the reduced and the
+    operator rule, and the step length dt.
 
     Every level takes `steps` steps per mean exit time, dt = (a^2 / sigma2) /
     steps, so each is sampled at the same resolution relative to its own time
     scale; fewer than MIN_MEAN_STEPS steps raises.
     Paths start at the state angle and leave [lo, hi] = [eps - x0, v - x0].
     Each step draws one normal, then one uniform, per live path from the
-    chunk's stream stream_rng(seed, 3, stream, index, chunk).  A step that
-    ends inside [lo, hi] still kills the path when its uniform falls below
-    the Brownian-bridge probability of having crossed an edge between the
-    two grid points,
+    chunk's stream stream_rng(seed, 3, 0, index, chunk).  A step that ends
+    inside [lo, hi] still kills the path when its uniform falls below the
+    Brownian-bridge probability of having crossed an edge between the two
+    grid points,
     exp(-2 (hi - w0)(hi - w1) / s^2) + exp(-2 (w0 - lo)(w1 - lo) / s^2)
     with s^2 = sigma2 * dt, so the exit step is the step in which the
     continuous path left.  The sum overcounts paths that touch both edges
     within one step, which is negligible while s is small next to hi - lo.
+    An edge term is at least 1 on a step that ends beyond its edge, so a rule
+    ignores an edge only if it drops both that edge's test and its term.
 
-    reduced: survival is the closed condition lo <= W <= hi checked on the
-    current value.  operator: the running interval-set state [eps - min W,
-    theta_e - max W] must contain the state angle, i.e. min W >= lo and
-    max W <= hi.  min(a,b) >= c is float-identical to (a >= c) & (b >= c),
-    and both engines apply the same bridge kill, so the masks agree bitwise
-    and the engines stay path-aligned.
+    Both rules see every step of the same paths.  A path stops at the first
+    step at which either rule fails.  Each rule's array records that step
+    where the rule failed, and the next step, a lower bound on its own exit,
+    where it still held; so the two arrays are equal exactly when the rules
+    agree on every path.
     """
-    if engine not in ("reduced", "operator"):
-        raise ValueError("engine must be 'reduced' or 'operator'")
     if steps < MIN_MEAN_STEPS:
         raise ValueError(f"steps per mean exit must be at least {MIN_MEAN_STEPS}")
     level = family.levels[index]
@@ -213,17 +227,17 @@ def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
     step_scale = math.sqrt(sigma2 * dt)
     kill_rate = 2.0 / (step_scale * step_scale)
     max_steps = MAX_MEAN_EXITS * steps
-    out = np.zeros(n_paths, dtype=np.int64)
+    out_red = np.zeros(n_paths, dtype=np.int64)
+    out_op = np.zeros(n_paths, dtype=np.int64)
     done = 0
     chunk_index = 0
     while done < n_paths:
         size = min(ENGINE_CHUNK, n_paths - done)
-        rng = stream_rng(seed, 3, stream, index, chunk_index)
+        rng = stream_rng(seed, 3, 0, index, chunk_index)
         w = np.zeros(size)
+        run_min = np.zeros(size)
+        run_max = np.zeros(size)
         idx = np.arange(size, dtype=np.int64)
-        if engine == "operator":
-            run_min = np.zeros(size)
-            run_max = np.zeros(size)
         step = 0
         while idx.size:
             step += 1
@@ -231,27 +245,22 @@ def _exit_steps(family: ExitFamily, index: int, engine: str, n_paths: int,
                 raise StepCapExceeded("exit-time simulation exceeded the step cap")
             w_next = w + rng.normal(size=idx.size) * step_scale
             u = rng.random(size=idx.size)
-            crossed = (np.exp(-kill_rate * (hi - w) * (hi - w_next))
-                       + np.exp(-kill_rate * (w - lo) * (w_next - lo)))
+            p_hi = np.exp(-kill_rate * (hi - w) * (hi - w_next))
+            p_lo = np.exp(-kill_rate * (w - lo) * (w_next - lo))
             w = w_next
-            if engine == "operator":
-                run_min = np.minimum(run_min, w)
-                run_max = np.maximum(run_max, w)
-                alive = (run_min >= lo) & (run_max <= hi)
-            else:
-                alive = (w >= lo) & (w <= hi)
-            alive &= u >= crossed
-            if not alive.all():
-                dead = ~alive
-                out[done + idx[dead]] = step
-                w = w[alive]
-                idx = idx[alive]
-                if engine == "operator":
-                    run_min = run_min[alive]
-                    run_max = run_max[alive]
+            run_min = np.minimum(run_min, w)
+            run_max = np.maximum(run_max, w)
+            red = _reduced_rule(w, u, p_lo, p_hi, lo, hi)
+            op = _operator_rule(run_min, run_max, u, p_lo, p_hi, lo, hi)
+            live = red & op
+            if not live.all():
+                dead = ~live
+                out_red[done + idx[dead]] = step + red[dead]
+                out_op[done + idx[dead]] = step + op[dead]
+                w, run_min, run_max, idx = w[live], run_min[live], run_max[live], idx[live]
         done += size
         chunk_index += 1
-    return out, dt
+    return out_red, out_op, dt
 
 
 @dataclass
@@ -264,15 +273,18 @@ class GammaEstimate:
     dt: float
     sigma2: float
     seed: int
-    stream: int
-    truncation_bound: float
+    # Realized tail dt * (mean((e - J)+) - s_end / 2) that the operator's
+    # truncated survival integral leaves out at horizon J; 0 for reduced.
+    tail: float
     truncation_flagged: bool
     mean_steps: float
+    # The level's comparison of both rules on the paths this estimate came
+    # from; set on the estimates gamma_estimate returns.
+    survival: Optional["SurvivalComparison"] = None
 
 
 def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: float,
-                      sigma2: float, seed: int, stream: int,
-                      truncation: float) -> GammaEstimate:
+                      sigma2: float, seed: int, truncation: float) -> GammaEstimate:
     """Mean exit time estimate from the exit steps of one level's paths.
 
     Both estimators place an exit half a step before the grid point that
@@ -283,13 +295,13 @@ def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: floa
         taus = (exits - 0.5) * dt
         gamma = float(np.mean(taus))
         stderr = float(np.std(taus, ddof=1) / math.sqrt(n_paths))
-        bound = 0.0
-        flagged = False
+        tail = 0.0
     else:
         # Survival-curve quadrature with a truncated tail.  S(t_j) is the
         # fraction with exit step > j; the left-rectangle sum telescopes to
         # mean(min(e, J)) * dt, and the trapezoid correction subtracts the
-        # half-cells at both ends.
+        # half-cells at both ends.  The reduced estimate of the same exits
+        # exceeds this one by exactly the tail.
         horizon = int(np.quantile(exits, 1.0 - truncation)) if truncation > 0 else int(exits.max())
         horizon = max(horizon, 1)
         capped = np.minimum(exits, horizon)
@@ -297,65 +309,64 @@ def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: floa
         rect = float(np.mean(capped)) * dt
         gamma = rect - dt * (1.0 - s_end) / 2.0
         stderr = float(np.std(capped.astype(float) * dt, ddof=1) / math.sqrt(n_paths))
-        bound = s_end * exit_time_oracle_exact(level.half_width, sigma2)
-        flagged = bound > 0.01 * gamma
+        tail = dt * (float(np.mean(exits - capped)) - s_end / 2.0)
     return GammaEstimate(gamma=gamma, stderr=stderr, engine=engine, v=level.v,
-                         n_paths=n_paths, dt=dt, sigma2=sigma2, seed=seed,
-                         stream=stream, truncation_bound=bound, truncation_flagged=flagged,
+                         n_paths=n_paths, dt=dt, sigma2=sigma2, seed=seed, tail=tail,
+                         truncation_flagged=tail > 0.01 * gamma,
                          mean_steps=float(np.mean(exits)))
-
-
-def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
-                   n_paths: int = 10_000, steps: int = STEPS_PER_MEAN_EXIT,
-                   seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
-                   truncation: float = SURVIVAL_TRUNCATION,
-                   stream: int = 0) -> GammaEstimate:
-    """Monte Carlo mean exit time gamma_n for one family level.
-
-    Runs that share (seed, stream) share their paths level by level; a run
-    meant to be independent of another at the same seed takes its own stream.
-    """
-    exits, dt = _exit_steps(family, index, engine, n_paths, seed, sigma2, stream, steps)
-    return _gamma_from_exits(exits, engine, family.levels[index], dt, sigma2, seed,
-                             stream, truncation)
 
 
 @dataclass
 class SurvivalComparison:
     indicators_equal: bool
+    # At most 1: a path stops at the first step at which either rule fails.
     max_step_difference: int
+    # First step at which the two rules' exits differ; None when they agree.
+    first_disagreement: Optional[int]
     reduced: GammaEstimate
     operator: GammaEstimate
+
+
+def _compare_rules(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2: float,
+                   steps: int, truncation: float) -> SurvivalComparison:
+    """Samples one level once; both estimators read the exits of their own rule.
+
+    Per-path survival indicators are determined by the exit step, so exact
+    equality of the exit steps is exact equality of the indicator processes.
+    """
+    level = family.levels[index]
+    e_red, e_op, dt = _exit_steps(family, index, n_paths, seed, sigma2, steps)
+    differ = e_red != e_op
+    # A path whose rules disagree stopped at the step where one failed.
+    first = int(np.minimum(e_red, e_op)[differ].min()) if differ.any() else None
+    return SurvivalComparison(
+        indicators_equal=first is None,
+        max_step_difference=int(np.abs(e_red - e_op).max(initial=0)),
+        first_disagreement=first,
+        reduced=_gamma_from_exits(e_red, "reduced", level, dt, sigma2, seed, truncation),
+        operator=_gamma_from_exits(e_op, "operator", level, dt, sigma2, seed, truncation))
+
+
+def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
+                   n_paths: int = 10_000, steps: int = STEPS_PER_MEAN_EXIT,
+                   seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
+                   truncation: float = SURVIVAL_TRUNCATION) -> GammaEstimate:
+    """Monte Carlo mean exit time gamma_n for one family level.
+
+    `engine` picks the estimator; the estimate's `survival` holds both
+    estimators and the pathwise verdict of the same simulation.
+    """
+    if engine not in ("reduced", "operator"):
+        raise ValueError("engine must be 'reduced' or 'operator'")
+    comparison = _compare_rules(family, index, n_paths, seed, sigma2, steps, truncation)
+    return replace(getattr(comparison, engine), survival=comparison)
 
 
 def run_survival_comparison(family: ExitFamily, index: int, n_paths: int = 2000,
                             seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
                             steps: int = STEPS_PER_MEAN_EXIT) -> SurvivalComparison:
-    """Runs both engines on identical increment streams and compares paths.
-
-    Per-path survival indicators are determined by the exit step, so exact
-    boolean equality of the indicator processes is exact equality of the exit
-    steps.  Each engine's estimate is made from the exit steps compared here.
-    """
-    level = family.levels[index]
-    e_red, dt = _exit_steps(family, index, "reduced", n_paths, seed, sigma2, steps=steps)
-    e_op, _ = _exit_steps(family, index, "operator", n_paths, seed, sigma2, steps=steps)
-    diff = int(np.max(np.abs(e_red - e_op))) if n_paths else 0
-    # Both engines ran on the default stream, tag 0.
-    red = _gamma_from_exits(e_red, "reduced", level, dt, sigma2, seed, 0, SURVIVAL_TRUNCATION)
-    op = _gamma_from_exits(e_op, "operator", level, dt, sigma2, seed, 0, SURVIVAL_TRUNCATION)
-    return SurvivalComparison(indicators_equal=bool(np.array_equal(e_red, e_op)),
-                              max_step_difference=diff, reduced=red, operator=op)
-
-
-def agreement_z_max(levels: int) -> float:
-    """Per-level threshold on the engine-agreement z over `levels` levels.
-
-    With correct engines on independent streams each z is ~|N(0, 1)|, so
-    z* = Phi^{-1}(1 - alpha / (2 levels)) with alpha = ENGINE_AGREEMENT_ALPHA
-    keeps the chance that any level exceeds it at or below alpha (Bonferroni).
-    """
-    return NormalDist().inv_cdf(1.0 - ENGINE_AGREEMENT_ALPHA / (2.0 * levels))
+    """Both rules on one simulation of a level, compared path by path."""
+    return _compare_rules(family, index, n_paths, seed, sigma2, steps, SURVIVAL_TRUNCATION)
 
 
 # -- asymptotics ------------------------------------------------------------------------------
@@ -600,8 +611,10 @@ def run_exit_asymptotics(family: ExitFamily, engine: str = "reduced",
                          sigma2: float = DEFAULT_SIGMA2) -> AsymptoticsReport:
     """Estimates gamma over the family, fits the power law, extracts invariants.
 
-    Estimates without a power law are a result, not an error: the report
-    then has no fit and says why in fit_error.
+    Each level is sampled once; its estimate's `survival` holds the other
+    estimator and the pathwise verdict.  Estimates without a power law are a
+    result, not an error: the report then has no fit and says why in
+    fit_error.
     """
     estimates = [gamma_estimate(family, i, engine, n_paths, seed=seed, sigma2=sigma2)
                  for i in range(len(family.levels))]

@@ -14,7 +14,6 @@ act(x, y) scales a_{mn} by x^m y^n for unit-modulus x, y.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -205,19 +204,3 @@ def cond_expectation(a: TorusElement, axis: int) -> TorusElement:
         raise ValueError("axis must be 1 or 2")
     return TorusElement(a.context, out)
 
-
-# -- serialization ---------------------------------------------------------------
-
-
-def to_json(a: TorusElement) -> str:
-    """Round-trip JSON: theta header plus one record per monomial."""
-    terms = [{"m": m, "n": n, "re": c.real, "im": c.imag} for (m, n), c in a.items()]
-    return json.dumps({"theta": a.context.theta, "terms": terms}, sort_keys=True)
-
-
-def from_json(text: str) -> TorusElement:
-    data = json.loads(text)
-    ctx = AlgebraContext(float(data["theta"]))
-    coeffs = {(int(t["m"]), int(t["n"])): complex(float(t["re"]), float(t["im"]))
-              for t in data["terms"]}
-    return TorusElement(ctx, coeffs)

@@ -23,7 +23,7 @@ def test_default_config_is_valid():
     cfg = ExperimentConfig().validate()
     assert math.isclose(cfg.theta, (math.sqrt(5.0) - 1.0) / 2.0)
     assert cfg.seed == 0
-    assert (cfg.convergent_count, cfg.engine, cfg.exit_paths) == (6, "both", 10000)
+    assert (cfg.convergent_count, cfg.exit_paths) == (6, 10000)
 
 
 def test_render_config_roundtrips_through_configparser(tmp_path):
@@ -138,6 +138,10 @@ def test_semigroup_check_matches_exact_multipliers(tmp_path):
                 "--paths", "4000"]) == 0
     payload = json.loads((tmp_path / "semigroup_check.json").read_text())
     assert payload["passed"] and payload["max_z"] <= 4.0
+    budget = payload["budget"]
+    assert budget["z_max"] == 4.0
+    assert budget["false_failure_per_coefficient"] == pytest.approx(6.334e-5, rel=1e-3)
+    assert budget["false_failure_rate"] == pytest.approx(1.900e-4, rel=1e-3)
     assert {(c["m"], c["n"]) for c in payload["coefficients"]} == \
         {(0, 1), (1, 0), (1, 1)}
     for c in payload["coefficients"]:
@@ -164,11 +168,16 @@ def test_exit_asymptotics_csv_json_and_replay(tmp_path):
     payload = json.loads(json_a)
     assert payload["n0"] == 1
     assert len(payload["engine_agreement"]) == 6
-    assert all(entry["z"] <= 3.0 for entry in payload["engine_agreement"])
+    assert "engine_agreement_budget" not in payload
+    rows = [line.split(",") for line in lines[1:]]
+    for row, entry in zip(rows, payload["engine_agreement"]):
+        # Both estimators read the exits of one simulation: the rules agree
+        # path by path, and the operator falls short by its realized tail.
+        assert entry["reduced"] == float(row[3])
+        assert entry["masks_equal"] is True
+        assert entry["gap"] == entry["operator"] - entry["reduced"]
+        assert abs(entry["gap"] + entry["tail"]) <= 1e-12 * entry["reduced"]
     assert payload["series_check"]["c2_matches"]
-    budget = payload["engine_agreement_budget"]
-    assert budget["alpha"] == 1e-3
-    assert budget["z_max"] == pytest.approx(3.765, abs=1e-3)
     assert payload["c2_stderr"] > 0.0
     assert payload["c1_stderr"] > 0.0
     assert payload["d_stderr"] == pytest.approx(
@@ -186,9 +195,9 @@ def test_exit_asymptotics_seed_changes_output(tmp_path):
         (tmp_path / "b" / "exit_asymptotics.csv").read_bytes()
 
 
-def test_exit_asymptotics_passes_share_no_stream_across_seeds(tmp_path, monkeypatch):
-    # Each pass of each seed draws from its own streams, so the reduced pass
-    # of --seed 1000 shares no draw with the operator pass of --seed 0.
+def test_exit_asymptotics_samples_each_level_once_per_seed(tmp_path, monkeypatch):
+    # Both estimators read one simulation: one chunk per level on tag 0, and
+    # no key shared between seeds.
     keys = []
 
     def recording(seed, *stream):
@@ -200,8 +209,8 @@ def test_exit_asymptotics_passes_share_no_stream_across_seeds(tmp_path, monkeypa
         keys.append([])
         assert run(["exit-asymptotics", "--paths", "400", "--seed", seed,
                     "--out", str(tmp_path / seed)]) == 0
-        # One chunk per level and pass, each on its own stream.
-        assert len(set(keys[-1])) == len(keys[-1]) == 12
+        assert len(set(keys[-1])) == len(keys[-1]) == 6
+        assert all(key[1:3] == (3, 0) for key in keys[-1])
     assert not set(keys[0]) & set(keys[1])
 
 
@@ -216,11 +225,37 @@ def test_exit_asymptotics_flow_dt_key_is_input_error(tmp_path, capsys):
     # Every level steps at a fixed count per mean exit; a config that still
     # sets one dt for all levels is rejected before any path is sampled.
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[flow]\ndt = 0.0001\n[exit]\nengine = reduced\n")
+    cfg.write_text("[flow]\ndt = 0.0001\n")
     out = tmp_path / "out"
     assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(out)]) == 2
     assert "unknown config key [flow] dt" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_exit_asymptotics_engine_key_is_input_error(tmp_path, capsys):
+    # One simulation feeds both estimators, so there is no engine to choose.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[exit]\nengine = reduced\n")
+    out = tmp_path / "out"
+    assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config key [exit] engine" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_asymptotics_fails_when_the_survival_rules_disagree(tmp_path, monkeypatch):
+    # An operator rule that ignores the lower edge outlives paths the reduced
+    # rule has lost; the run names each level and its first differing step.
+    monkeypatch.setattr("ncqbm.exit_times._operator_rule",
+                        lambda run_min, run_max, u, p_lo, p_hi, lo, hi:
+                        (run_max <= hi) & (u >= p_hi))
+    assert run(["exit-asymptotics", "--paths", "400", "--out", str(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "exit_asymptotics.json").read_text())
+    assert [row["masks_equal"] for row in payload["engine_agreement"]] == [False] * 6
+    disagree = [w for w in payload["warnings"] if "rules disagree" in w]
+    assert len(disagree) == 6
+    for i, warning in enumerate(disagree):
+        assert warning.startswith(f"level {i}: survival rules disagree, first at step ")
+        assert int(warning.rsplit(" ", 1)[1]) >= 1
 
 
 def test_exit_asymptotics_unfittable_estimates_fail_check(tmp_path, monkeypatch):
@@ -228,12 +263,10 @@ def test_exit_asymptotics_unfittable_estimates_fail_check(tmp_path, monkeypatch)
     # follows no power law.  The run is a failed check with the reason, not
     # an input error without output.
     monkeypatch.setattr("ncqbm.exit_times._exit_steps",
-                        lambda family, index, engine, n_paths, *rest, **kw:
-                        (np.full(n_paths, 20, dtype=np.int64), 1e-3))
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[exit]\nengine = reduced\n")
-    assert run(["exit-asymptotics", "--config", str(cfg), "--paths", "2000",
-                "--out", str(tmp_path)]) == 1
+                        lambda family, index, n_paths, *rest, **kw:
+                        (np.full(n_paths, 20, dtype=np.int64),
+                         np.full(n_paths, 20, dtype=np.int64), 1e-3))
+    assert run(["exit-asymptotics", "--paths", "2000", "--out", str(tmp_path)]) == 1
     rows = (tmp_path / "exit_asymptotics.csv").read_text().strip().split("\n")
     assert rows[0] == "n,k_n,v_n,gamma_n,stderr" and len(rows) == 7
     assert len({row.split(",")[3] for row in rows[1:]}) == 1

@@ -2,17 +2,16 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ncqbm.banded import build_rieffel_projection, is_projection
 from ncqbm.exit_times import (
-    ENGINE_AGREEMENT_ALPHA,
     AsymptoticsReport,
     ExitFamily,
     _exit_steps,
-    agreement_z_max,
     classical_circle_benchmark,
     convergents,
     exit_time_oracle_exact,
@@ -130,7 +129,7 @@ def test_reduced_engine_matches_exact_mean():
     # The bridge kill leaves no discrete-monitoring bias.
     assert abs(est.gamma - exact) < 4.0 * est.stderr
     assert 0.99 * exact < est.gamma < 1.06 * exact
-    assert est.truncation_bound == 0.0
+    assert est.tail == 0.0
     assert not est.truncation_flagged
 
 
@@ -150,12 +149,12 @@ def test_step_cap_scales_with_steps(monkeypatch):
     monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 16)
     fam = ExitFamily.golden(3)
     sigma2 = 2.0
-    exits, dt = _exit_steps(fam, 1, "reduced", 200, 3, sigma2, steps=1024)
+    exits, _, dt = _exit_steps(fam, 1, 200, 3, sigma2, steps=1024)
     assert dt == exit_time_mean_exact(fam.levels[1].half_width, sigma2) / 1024
     assert exits.max() > 16 * 64
     monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 1)
     with pytest.raises(RuntimeError, match="step cap"):
-        _exit_steps(fam, 1, "reduced", 200, 3, sigma2, steps=1024)
+        _exit_steps(fam, 1, 200, 3, sigma2, steps=1024)
 
 
 def test_steps_below_the_floor_are_rejected():
@@ -184,7 +183,7 @@ def test_operator_engine_matches_exact_mean():
     est = gamma_estimate(fam, 1, engine="operator", n_paths=3000, seed=4)
     exact = exit_time_mean_exact(fam.levels[1].half_width, est.sigma2)
     assert abs(est.gamma - exact) < 4.0 * est.stderr
-    assert est.truncation_bound < 0.01 * est.gamma
+    assert est.tail < 0.01 * est.gamma
 
 
 def test_exit_step_law_matches_survival_series():
@@ -194,7 +193,7 @@ def test_exit_step_law_matches_survival_series():
     fam = ExitFamily.golden(4)
     n = 20_000
     sigma2 = 2.0
-    exits, dt = _exit_steps(fam, 2, "reduced", n, 17, sigma2)
+    exits, _, dt = _exit_steps(fam, 2, n, 17, sigma2)
     a = fam.levels[2].half_width
     steps = np.arange(1, int(exits.max()) + 1)
     empirical = (exits[None, :] > steps[:, None]).mean(axis=1)
@@ -221,8 +220,7 @@ def test_operator_engine_stops_where_the_lattice_fold_loses_the_state():
         dt = exit_time_mean_exact(level.half_width, sigma2) / 128
         scale = math.sqrt(sigma2 * dt)
         for seed in range(40):
-            (exit_step,), _ = _exit_steps(fam, index, "operator", 1, seed, sigma2,
-                                          steps=128)
+            _, (exit_step,), _ = _exit_steps(fam, index, 1, seed, sigma2, steps=128)
             # A one-path chunk draws one normal, then one uniform, per step.
             rng = stream_rng(seed, 3, 0, index, 0)
             w = np.zeros(exit_step + 1)
@@ -251,23 +249,45 @@ def test_both_engines_unbiased_at_1e5_paths():
         assert abs(est.gamma - exact) < 4.0 * est.stderr
 
 
-def test_independent_stream_tag_gives_new_paths():
-    fam = ExitFamily.golden(3)
-    default, _ = _exit_steps(fam, 1, "operator", 500, 9, 2.0)
-    other, _ = _exit_steps(fam, 1, "operator", 500, 9, 2.0, stream=1)
-    assert not np.array_equal(default, other)
+def test_one_simulation_gives_both_estimates_and_the_verdict():
+    fam = ExitFamily.golden(5)
+    cmp = run_survival_comparison(fam, 2, n_paths=900, seed=8)
+    for engine in ("reduced", "operator"):
+        est = gamma_estimate(fam, 2, engine, n_paths=900, seed=8)
+        assert est.survival == cmp
+        assert replace(est, survival=None) == getattr(cmp, engine)
+    assert cmp.first_disagreement is None
 
 
-def test_estimates_record_their_stream_tag():
-    fam = ExitFamily.golden(3)
-    default = gamma_estimate(fam, 1, "operator", n_paths=300, seed=9)
-    other = gamma_estimate(fam, 1, "operator", n_paths=300, seed=9, stream=1)
-    assert (default.seed, default.stream) == (9, 0)
-    assert (other.seed, other.stream) == (9, 1)
-    assert other.gamma != default.gamma
-    cmp = run_survival_comparison(fam, 1, n_paths=300, seed=9)
-    assert cmp.reduced.stream == cmp.operator.stream == 0
-    assert cmp.operator.gamma == default.gamma
+def test_operator_gap_is_the_realized_tail_at_every_level():
+    # On equal exits the reduced mean and the truncated survival integral
+    # differ by the tail beyond the horizon, to rounding.
+    fam = ExitFamily.golden(6)
+    for index in range(6):
+        for seed in (0, 11):
+            cmp = run_survival_comparison(fam, index, n_paths=3000, seed=seed)
+            assert cmp.indicators_equal
+            gap = cmp.operator.gamma - cmp.reduced.gamma
+            assert abs(gap + cmp.operator.tail) <= 1e-12 * cmp.reduced.gamma
+            assert cmp.operator.tail >= 0.0
+
+
+def test_operator_rule_ignoring_the_lower_edge_is_caught(monkeypatch):
+    # Dropping both the grid test and the bridge term of the lower edge lets
+    # the operator state outlive paths the reduced rule has lost.
+    monkeypatch.setattr("ncqbm.exit_times._operator_rule",
+                        lambda run_min, run_max, u, p_lo, p_hi, lo, hi:
+                        (run_max <= hi) & (u >= p_hi))
+    fam = ExitFamily.golden(4)
+    cmp = run_survival_comparison(fam, 1, n_paths=500, seed=3)
+    assert not cmp.indicators_equal
+    assert cmp.max_step_difference > 0
+    # A path stops where the reduced rule fails; the operator rule, which
+    # still held, records the next step.
+    e_red, e_op, _ = _exit_steps(fam, 1, 500, 3, 2.0)
+    differ = e_red != e_op
+    assert np.all(e_op[differ] == e_red[differ] + 1)
+    assert cmp.first_disagreement == int(e_red[differ].min())
 
 
 def test_sweep_levels_are_single_level_estimates_at_the_same_seed():
@@ -292,7 +312,7 @@ def test_aggressive_truncation_is_flagged():
     est = gamma_estimate(fam, 0, engine="operator", n_paths=600, seed=2,
                          truncation=0.5)
     assert est.truncation_flagged
-    assert est.truncation_bound > 0.0
+    assert est.tail > 0.0
 
 
 def test_engine_name_validated():
@@ -408,19 +428,6 @@ def test_fit_c2_unresolved_on_noisy_data():
     assert fit.c2_stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-9)
     assert abs(fit.c2) < 2.0 * fit.c2_stderr
     assert not fit.c2_resolved
-
-
-# -- engine-agreement budget ----------------------------------------------------------------------
-
-
-def test_agreement_threshold_follows_level_count():
-    assert agreement_z_max(6) == pytest.approx(3.765, abs=1e-3)
-    thresholds = [agreement_z_max(n) for n in (1, 2, 6, 20)]
-    assert thresholds == sorted(thresholds)
-    for n, z in zip((1, 2, 6, 20), thresholds):
-        # P(|N(0,1)| > z) summed over n levels is the family-wise rate.
-        assert n * math.erfc(z / math.sqrt(2.0)) == pytest.approx(ENGINE_AGREEMENT_ALPHA,
-                                                                rel=1e-9)
 
 
 # -- invariant extraction -------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncqbm.torus import (AlgebraContext, TorusElement, act, cond_expectation,
-                         from_json, mul, star, to_json, trace)
+from ncqbm.torus import (AlgebraContext, TorusElement, act, cond_expectation, mul, star,
+                         trace)
 
 from oracles import matrix_trace_normalized, represent
 
@@ -186,11 +186,3 @@ def test_context_validation():
     with pytest.raises(ValueError):
         AlgebraContext(1.0)
 
-
-def test_json_round_trip():
-    ctx = AlgebraContext(GOLDEN)
-    rng = np.random.default_rng(17)
-    a = random_element(ctx, rng)
-    b = from_json(to_json(a))
-    assert b.context.theta == a.context.theta
-    assert (a - b).coeff_sup() == 0.0
