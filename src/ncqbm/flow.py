@@ -259,13 +259,3 @@ def vacuum_expectation_mc(a: TorusElement, t: float, spec: SemigroupSpec,
     report = McReport(t=t, sigma2=spec.sigma2, n_paths=n_paths, seed=seed,
                       coefficients=stats)
     return element, report
-
-
-def flow_torus_generator(spec: SemigroupSpec) -> tuple[complex, complex, complex]:
-    """Generator values (l(U), l(V), l(UV)) induced by the heat semigroup."""
-    mu, nu = spec.drift_vector
-    s = -2.0 * math.pi ** 2 * spec.sigma2
-    l10 = s + 2j * math.pi * mu
-    l01 = s + 2j * math.pi * nu
-    l11 = 2.0 * s + 2j * math.pi * (mu + nu)
-    return l10, l01, l11

@@ -428,55 +428,6 @@ def check_oplus_generator(g: OPlusGeneratorSpec) -> OPlusGeneratorReport:
                                 hermitian_defect=herm_defect)
 
 
-def oplus_from_noise_form(n: int, B: np.ndarray) -> OPlusGeneratorSpec:
-    """Back-solves (L, A) from a prescribed Hermitian PSD noise form B.
-
-    A is B plus the rank-one corrections conj(L_ij) + L_kl, and L must then
-    satisfy the symmetrization constraint, which becomes a real-linear
-    system in (Re L, Im L) solved in least squares.  A residual above
-    tolerance means the prescribed B admits no generator and raises.
-    """
-    m = 2 * n
-    pairs, index = pair_indices(m)
-    npairs = len(pairs)
-    B = np.asarray(B, dtype=complex)
-    if B.shape != (npairs, npairs):
-        raise ValueError(f"B must be a {npairs}x{npairs} matrix")
-
-    # Complex equation per pair (i, j), with a_(p,q) = B_(p,q) + conj(L_p) + L_q:
-    #   L_ij + L_ji - sum sign * [conj(L_p) + L_q]  =  sum sign * B_(p,q)
-    n_unknowns = m * m
-    coef = np.zeros((npairs, n_unknowns), dtype=complex)       # multiplies L
-    coef_conj = np.zeros((npairs, n_unknowns), dtype=complex)  # multiplies conj(L)
-    rhs = np.zeros(npairs, dtype=complex)
-
-    def flat(i, j):
-        return i * m + j
-
-    for row, (i, j) in enumerate(pairs):
-        coef[row, flat(i, j)] += 1.0
-        coef[row, flat(j, i)] += 1.0
-        for sign, p, q in _oplus_contractions(m, i, j):
-            coef_conj[row, flat(*p)] -= sign
-            coef[row, flat(*q)] -= sign
-        rhs[row] = _oplus_constraint_rhs(B, index, m, i, j)
-
-    # Real-ification: unknown x = [Re L; Im L].
-    top = np.hstack([coef.real + coef_conj.real, -coef.imag + coef_conj.imag])
-    bot = np.hstack([coef.imag + coef_conj.imag, coef.real - coef_conj.real])
-    mat = np.vstack([top, bot])
-    vec = np.concatenate([rhs.real, rhs.imag])
-    sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    if np.abs(mat @ sol - vec).max() > 1e-8:
-        raise ValueError("no generator matches the prescribed noise form")
-    L = (sol[:n_unknowns] + 1j * sol[n_unknowns:]).reshape(m, m)
-    lvec = np.array([L[i, j] for (i, j) in pairs])
-    A = B + np.conj(lvec)[:, None] + lvec[None, :]
-    return OPlusGeneratorSpec(n=n,
-                              L=tuple(map(tuple, L)),
-                              A=tuple(map(tuple, A)))
-
-
 # -- bi-invariance on the free orthogonal family -----------------------------------------------
 
 

@@ -377,6 +377,45 @@ class OperatorPathMeet:
     levels_used: int
 
 
+def _stride_factors(w: list[float], quantum: float, stride: float) -> list[int]:
+    """Indices of the samples meet_along_path_operator meets, after sample 0.
+
+    The first is the first sample more than `quantum` outside W_0.  After
+    it, each side of the folded range [lo, hi] keeps its pending extreme,
+    the sample furthest beyond that edge since the side last folded.  It is
+    folded when a later sample lies `stride` or more beyond the edge, and at
+    the end of the path unless it extends the range by `quantum` or less.
+    """
+    lo = hi = w[0]
+    factors: list[int] = []
+    pending: dict[bool, int] = {}  # side (above hi?) -> its pending extreme
+
+    def extension(k: int) -> float:
+        return max(w[k] - hi, lo - w[k])
+
+    def fold(k: int) -> None:
+        nonlocal lo, hi
+        factors.append(k)
+        lo, hi = min(lo, w[k]), max(hi, w[k])
+
+    for i in range(1, len(w)):
+        e = extension(i)
+        if not factors:
+            if e > quantum:
+                fold(i)
+        elif e > 0.0:
+            side = w[i] > hi
+            j = pending.get(side, i)
+            if e >= stride and extension(j) > quantum:
+                fold(j)
+            if extension(i) >= extension(j):
+                pending[side] = i
+    for j in sorted(pending.values()):
+        if extension(j) > quantum:
+            fold(j)
+    return factors
+
+
 def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
                              levels: int = 24, min_iter: int = 40) -> OperatorPathMeet:
     """Iterated operator meet of the projection translates along a path.
@@ -384,15 +423,28 @@ def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
     The path is first bridge-refined until every component's step is below
     eps/4, the rule meet_along_path shares (_refine_path), so the two folds
     meet the same samples.  A sample whose first component lies inside the
-    running range [min W, max W] translates the plateau onto a superset of
-    the current intersection, so meeting with it changes nothing (lattice
-    absorption) and it is skipped.  Samples are folded only when they
-    extend the range by at least the quantum q = max(eps/16, 8/n): a
-    smaller extension leaves no spectral gap between the running meet and
-    the new factor, and the squaring iteration then amplifies grid noise
-    instead of converging.  The skipped extensions lag the exact sampled
-    meet by at most one quantum per edge, which the off-diagonal bands do
-    not see.
+    folded range [lo, hi] translates the plateau onto a superset of the
+    current intersection, so meeting with it changes nothing (lattice
+    absorption).  The first factor is the first sample more than the
+    quantum q = max(eps/16, 8/n) outside W_0: a smaller extension leaves no
+    spectral gap between the running meet and the new factor, and the
+    squaring iteration then amplifies grid noise instead of converging.
+
+    After it, each run of extensions is folded once (_stride_factors): a
+    side's pending extreme is met only when a later sample lies at least the
+    stride eps/2 beyond that edge, or at the end of the path, where a
+    pending extension of q or less is skipped.  Steps are below eps/4, so
+    every later factor extends the folded range by some e with q < e < eps/2
+    (for q < eps/4).  This is sound: once the first factor is met, the
+    running meet is a diagonal indicator chi_S(U) of an arc S inside the
+    plateau, and a translate P_w with extension e < eps puts only its upper
+    ramp over S, while that ramp's V-partner lies below S; so the meet is
+    chi_{S cap plateau_w}, and the two-translate hypothesis |s - s'| < eps/4
+    binds only the first factor, which the step bound keeps within
+    q + eps/4 of W_0.  The interval fold depends only on min W and max W, so
+    an extreme that a later one supersedes is absorbed.  Each edge still
+    lags the sampled meet by at most q, which the off-diagonal bands do not
+    see: -2/n <= trace - measure <= 2q + 2/n.
 
     A first component that moves but never leaves [W_0 - q, W_0 + q] folds
     nothing: the result is the unmet projection, reported with
@@ -400,29 +452,23 @@ def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
     the projection is then its converged meet.
     """
     eps = spec.epsilon
-    quantum = max(eps / 16.0, 8.0 / n)
     values, levels_used, _ = _refine_path(path, eps, levels)
     if values.ndim != 2 or values.shape[1] != 2:
         raise ValueError("operator path meet needs a 2-component path")
+    factors = _stride_factors(values[:, 0].tolist(), max(eps / 16.0, 8.0 / n), eps / 2.0)
     p = build_rieffel_projection(spec, n)
     r = translate_action(p, float(values[0, 0]), float(values[0, 1]))
-    lo = hi = float(values[0, 0])
     n_factors = 1
-    converged = True
-    for i in range(1, values.shape[0]):
-        w1 = float(values[i, 0])
-        if lo - quantum <= w1 <= hi + quantum:
-            continue
+    converged = bool(factors) or bool(np.all(values[:, 0] == values[0, 0]))
+    for i in factors:
         report = meet_pair_iterative(
-            r, translate_action(p, w1, float(values[i, 1])), min_iter=min_iter)
+            r, translate_action(p, float(values[i, 0]), float(values[i, 1])),
+            min_iter=min_iter)
         r = report.result
         converged = converged and report.converged
-        lo, hi = min(lo, w1), max(hi, w1)
         n_factors += 1
         if max(r.band_sups().values(), default=0.0) < 1e-12:
             break
-    if n_factors == 1 and np.any(values[:, 0] != lo):
-        converged = False
     return OperatorPathMeet(result=r, n_factors=n_factors,
                             n_samples=int(values.shape[0]),
                             converged=converged, levels_used=levels_used)

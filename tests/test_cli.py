@@ -290,6 +290,18 @@ def test_exit_asymptotics_too_few_levels_is_input_error(tmp_path, capsys):
             ExperimentConfig(convergent_count=count).validate()
 
 
+def test_exit_asymptotics_near_rational_theta_is_input_error(tmp_path, capsys):
+    # At 10 levels of 1/pi, k_8 2^-53 / v_8 = 6.8e-4 is above the 1e-4
+    # precision budget: rejected before any path is sampled, naming the level.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[experiment]\ntheta = {1.0 / math.pi!r}\n"
+                   "[exit]\nconvergent_count = 10\n")
+    out = tmp_path / "out"
+    assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "level 8: theta too near a rational" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_asymptotics_analytic_branch(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[exit]\nanalytic = true\n")

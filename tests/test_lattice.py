@@ -518,3 +518,93 @@ def test_meet_along_path_operator_folding_nothing_is_not_converged():
     assert fold.n_factors == 1
     assert fold.result.off_diagonal_sup() > 0.1
     assert not fold.converged
+
+
+def _per_quantum_factor_count(w, q):
+    """Factors of the per-quantum rule, which meets every sample that
+    extends the folded range by more than q."""
+    lo = hi = w[0]
+    count = 1
+    for x in w[1:]:
+        if not lo - q <= x <= hi + q:
+            count += 1
+            lo, hi = min(lo, x), max(hi, x)
+    return count
+
+
+def _factor_extensions(w, factors):
+    """How far each factor extends the range folded before it."""
+    lo = hi = w[0]
+    out = []
+    for i in factors:
+        out.append(max(w[i] - hi, lo - w[i]))
+        lo, hi = min(lo, w[i]), max(hi, w[i])
+    return out
+
+
+def _fold_budget_holds(fold, spec, path, n):
+    q = max(spec.epsilon / 16.0, 8.0 / n)
+    trace = float(np.real(np.mean(fold.result.band(0).samples)))
+    return -2.0 / n <= trace - meet_along_path(spec, path).intervals.measure() <= 2.0 * q + 2.0 / n
+
+
+def test_stride_factors_on_criterion_3_paths():
+    # Each run of range extensions is folded once: no more factors than the
+    # per-quantum rule, and each later factor extends the folded range by
+    # at least q and below the stride eps/2.  Criterion 3 folds the same
+    # paths and checks convergence and the budget against the interval fold.
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    eps = spec.epsilon
+    q = max(eps / 16.0, 8.0 / 512)
+    stride_total = quantum_total = 0
+    for k in range(100):
+        path = sample_path(dim=2, horizon=0.02, dt=0.005, sigma2=1.0, seed=3000 + k)
+        w = lattice._refine_path(path, eps, 24)[0][:, 0].tolist()
+        factors = lattice._stride_factors(w, q, eps / 2.0)
+        # The first factor is the first sample more than q from W_0, which
+        # keeps it within q + eps/4 of W_0.
+        assert factors[0] == next(i for i, x in enumerate(w) if abs(x - w[0]) > q), k
+        assert all(q <= e < eps / 2.0 for e in _factor_extensions(w, factors)[1:]), k
+        quantum = _per_quantum_factor_count(w, q)
+        assert 1 + len(factors) <= quantum, k
+        stride_total += 1 + len(factors)
+        quantum_total += quantum
+    assert stride_total < 0.6 * quantum_total, (stride_total, quantum_total)
+
+
+def _ramp(top, eps):
+    # Steps just below eps/4, the largest the refinement rule lets through.
+    w = np.linspace(0.0, top, int(math.ceil(top / (0.99 * eps / 4.0))) + 1)
+    return StubPath(np.column_stack([w, np.zeros_like(w)]))
+
+
+def test_stride_fold_of_a_monotone_ramp():
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    eps, n = spec.epsilon, 512
+    q = max(eps / 16.0, 8.0 / n)
+    path = _ramp(0.3, eps)
+    fold = meet_along_path_operator(spec, path, n=n)
+    w = path.values[:, 0].tolist()
+    factors = lattice._stride_factors(w, q, eps / 2.0)
+    assert fold.converged and fold.levels_used == 0
+    assert fold.n_factors == 1 + len(factors) < _per_quantum_factor_count(w, q)
+    assert factors[0] == 1
+    assert all(q <= e < eps / 2.0 for e in _factor_extensions(w, factors)[1:])
+    assert fold.result.off_diagonal_sup() < 1e-10
+    assert _fold_budget_holds(fold, spec, path, n)
+
+
+@pytest.mark.parametrize("overshoot", [-0.005, 0.0, 0.01])
+def test_stride_fold_of_a_ramp_across_the_plateau(overshoot):
+    # A range that reaches theta_e - eps empties the interval fold; the
+    # operator fold must empty with it, or say that it did not converge.
+    # Just short of it the meet is a thin arc, which the fold must keep.
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    n = 512
+    path = _ramp(GOLDEN - spec.epsilon + overshoot, spec.epsilon)
+    fold = meet_along_path_operator(spec, path, n=n)
+    if fold.converged:
+        assert fold.result.off_diagonal_sup() < 1e-10
+        assert _fold_budget_holds(fold, spec, path, n)
+    if overshoot >= 0.0:
+        assert meet_along_path(spec, path).intervals.is_empty
