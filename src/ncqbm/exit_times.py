@@ -17,8 +17,9 @@ continuous-time exit and the coarse grid leaves no monitoring bias.  Only
 the mid-step placement of the exit and the operator trapezoid depend on the
 grid; both err by O(dt^2), about (pi^2/8)/12/16^2 ~ 0.04% of gamma here.
 
-Every level draws from its own counter-based stream, keyed by (seed, 3, 0,
-level, chunk), so no two seeds and no two levels share draws.
+The chunks of ENGINE_CHUNK paths of a level share one stepping loop; each
+draws for its own live paths from its own counter-based stream, keyed by
+(seed, 3, 0, level, chunk), so no two seeds, levels or chunks share draws.
 
 One sampler runs each level once and applies two survival rules to every
 step of the same paths, as separate computations:
@@ -60,8 +61,9 @@ DEFAULT_SIGMA2 = 2.0
 # this grid would otherwise be ~2 * 0.5826 * sigma*sqrt(dt)/a ~ 29%.
 STEPS_PER_MEAN_EXIT = 16
 SURVIVAL_TRUNCATION = 1e-4
+# Paths per stream key, and half the bound on the live paths of the stepping loop.
 ENGINE_CHUNK = 4096
-# A chunk that runs this many mean exit times of its level is cut off.
+# A chunk that runs this many mean exit times since it joined the loop is cut off.
 MAX_MEAN_EXITS = 4096
 # Fewer steps per mean exit than this sample a level too coarsely for the
 # mid-step estimators and the one-edge bridge kill to hold.
@@ -176,7 +178,7 @@ def exit_time_oracle_exact(a: float, sigma2: float) -> float:
 
 
 class StepCapExceeded(RuntimeError):
-    """A chunk of paths ran past MAX_MEAN_EXITS mean exit times."""
+    """A chunk of paths ran past MAX_MEAN_EXITS mean exit times since it joined."""
 
 
 def _reduced_rule(w: np.ndarray, u: np.ndarray, p_lo: np.ndarray, p_hi: np.ndarray,
@@ -201,11 +203,14 @@ def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2:
     steps, so each is sampled at the same resolution relative to its own time
     scale; fewer than MIN_MEAN_STEPS steps raises.
     Paths start at the state angle and leave [lo, hi] = [eps - x0, v - x0].
-    Each step draws one normal, then one uniform, per live path from the
-    chunk's stream stream_rng(seed, 3, 0, index, chunk).  A step that ends
-    inside [lo, hi] still kills the path when its uniform falls below the
-    Brownian-bridge probability of having crossed an edge between the two
-    grid points,
+    The chunks of ENGINE_CHUNK paths share one stepping loop: a chunk joins at
+    the first step at which it fits under 2 ENGINE_CHUNK live paths, and its
+    exit steps and MAX_MEAN_EXITS cap count from there.  Each step every chunk
+    draws one normal, then one uniform, for each of its live paths from its
+    stream stream_rng(seed, 3, 0, index, chunk), as if stepped alone.  A step
+    that ends inside [lo, hi] still kills the path when its uniform falls
+    below the Brownian-bridge probability of having crossed an edge between
+    the two grid points,
     exp(-2 (hi - w0)(hi - w1) / s^2) + exp(-2 (w0 - lo)(w1 - lo) / s^2)
     with s^2 = sigma2 * dt, so the exit step is the step in which the
     continuous path left.  The sum overcounts paths that touch both edges
@@ -227,40 +232,44 @@ def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2:
     hi = level.v - level.state_angle
     step_scale = math.sqrt(sigma2 * dt)
     kill_rate = 2.0 / (step_scale * step_scale)
-    max_steps = MAX_MEAN_EXITS * steps
-    out_red = np.zeros(n_paths, dtype=np.int64)
-    out_op = np.zeros(n_paths, dtype=np.int64)
-    done = 0
-    chunk_index = 0
-    while done < n_paths:
-        size = min(ENGINE_CHUNK, n_paths - done)
-        rng = stream_rng(seed, 3, 0, index, chunk_index)
-        w = np.zeros(size)
-        run_min = np.zeros(size)
-        run_max = np.zeros(size)
-        idx = np.arange(size, dtype=np.int64)
-        step = 0
-        while idx.size:
-            step += 1
-            if step > max_steps:
-                raise StepCapExceeded("exit-time simulation exceeded the step cap")
-            w_next = w + rng.normal(size=idx.size) * step_scale
-            u = rng.random(size=idx.size)
-            p_hi = np.exp(-kill_rate * (hi - w) * (hi - w_next))
-            p_lo = np.exp(-kill_rate * (w - lo) * (w_next - lo))
-            w = w_next
-            run_min = np.minimum(run_min, w)
-            run_max = np.maximum(run_max, w)
-            red = _reduced_rule(w, u, p_lo, p_hi, lo, hi)
-            op = _operator_rule(run_min, run_max, u, p_lo, p_hi, lo, hi)
-            live = red & op
-            if not live.all():
-                dead = ~live
-                out_red[done + idx[dead]] = step + red[dead]
-                out_op[done + idx[dead]] = step + op[dead]
-                w, run_min, run_max, idx = w[live], run_min[live], run_max[live], idx[live]
-        done += size
-        chunk_index += 1
+    out_red, out_op = np.zeros((2, n_paths), dtype=np.int64)
+    # (end, join step, stream, live paths) of each chunk in the loop, in chunk
+    # order; idx stays sorted, so a chunk's live paths are one run of it.
+    active: list[tuple] = []
+    idx = w = run_min = run_max = np.zeros(0, dtype=np.int64)  # until a chunk joins
+    step = chunk = 0
+    while active or chunk * ENGINE_CHUNK < n_paths:
+        start, stop = chunk * ENGINE_CHUNK, min((chunk + 1) * ENGINE_CHUNK, n_paths)
+        if start < n_paths and idx.size + stop - start <= 2 * ENGINE_CHUNK:
+            out_red[start:stop] = out_op[start:stop] = -step  # count from the join
+            active.append((stop, step, stream_rng(seed, 3, 0, index, chunk), stop - start))
+            fresh = (np.arange(start, stop), *[np.zeros(stop - start)] * 3)
+            idx, w, run_min, run_max = [np.concatenate(pair) if idx.size else pair[1]
+                                        for pair in zip((idx, w, run_min, run_max), fresh)]
+            chunk += 1
+            continue
+        step += 1
+        if step - active[0][1] > MAX_MEAN_EXITS * steps:
+            raise StepCapExceeded("exit-time simulation exceeded the step cap")
+        draws = [(rng.normal(size=n), rng.random(size=n)) for _, _, rng, n in active]
+        z, u = draws[0] if len(draws) == 1 else map(np.concatenate, zip(*draws))
+        w_next = w + z * step_scale
+        p_hi = np.exp(-kill_rate * (hi - w) * (hi - w_next))
+        p_lo = np.exp(-kill_rate * (w - lo) * (w_next - lo))
+        w = w_next
+        run_min = np.minimum(run_min, w)
+        run_max = np.maximum(run_max, w)
+        red = _reduced_rule(w, u, p_lo, p_hi, lo, hi)
+        op = _operator_rule(run_min, run_max, u, p_lo, p_hi, lo, hi)
+        live = red & op
+        if not live.all():
+            dead = ~live
+            out_red[idx[dead]] += step + red[dead]
+            out_op[idx[dead]] += step + op[dead]
+            w, run_min, run_max, idx = w[live], run_min[live], run_max[live], idx[live]
+            ends = [idx.size] if len(active) == 1 else np.searchsorted(
+                idx, [end for end, *_ in active]).tolist()
+            active = [(*e[:3], b - a) for e, a, b in zip(active, [0, *ends], ends) if b > a]
     return out_red, out_op, dt
 
 

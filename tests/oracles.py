@@ -13,6 +13,8 @@ Oracles provided:
 * alternating-product lattice meet for explicitly represented q x q matrices,
 * first-exit statistics of one-dimensional Brownian motion from a symmetric
   interval (closed-form mean a^2 / sigma^2 and survival series),
+* a chunk-by-chunk exit-step sampler with its own survival tests, the
+  reference for the exit sampler's shared stepping loop,
 * Taylor coefficients by central differences with one Richardson step.
 """
 
@@ -118,6 +120,50 @@ def exit_time_survival_exact(t: float, a: float, sigma2: float, terms: int = 200
         n = 2 * k + 1
         total += (-1) ** k / n * math.exp(-n * n * rate)
     return 4.0 / math.pi * total
+
+
+def exit_steps_chunkwise(lo: float, hi: float, dt: float, sigma2: float, n_paths: int,
+                         chunk: int, max_steps: int, stream) -> tuple[np.ndarray, np.ndarray]:
+    """Exit steps of Brownian paths from 0 out of [lo, hi], one chunk at a time.
+
+    Chunk c holds paths c*chunk .. (c+1)*chunk - 1 and is stepped alone until
+    its last path stops, drawing from the generator stream(c) one normal,
+    then one uniform, per live path at each step.  A step survives when the
+    uniform is at least the bridge crossing probability
+    exp(-2 (hi - w0)(hi - w1) / s^2) + exp(-2 (w0 - lo)(w1 - lo) / s^2),
+    s^2 = sigma2 dt, and the reduced test also needs w1 in [lo, hi], the
+    operator test the running min and max of w in it.  A path stops at the
+    first step at which either test fails; each test records that step where
+    it failed and the next where it held.  A chunk that needs more than
+    max_steps steps raises RuntimeError("step cap").
+    """
+    scale = math.sqrt(sigma2 * dt)
+    rate = 2.0 / (scale * scale)
+    red_exit = np.zeros(n_paths, dtype=np.int64)
+    op_exit = np.zeros(n_paths, dtype=np.int64)
+    for c, start in enumerate(range(0, n_paths, chunk)):
+        rng = stream(c)
+        paths = np.arange(start, min(start + chunk, n_paths))
+        w = low = high = np.zeros(paths.size)
+        step = 0
+        while paths.size:
+            step += 1
+            if step > max_steps:
+                raise RuntimeError("step cap")
+            w1 = w + rng.normal(size=paths.size) * scale
+            u = rng.random(size=paths.size)
+            crossed = (np.exp(-rate * (hi - w) * (hi - w1))
+                       + np.exp(-rate * (w - lo) * (w1 - lo)))
+            low, high, w = np.minimum(low, w1), np.maximum(high, w1), w1
+            bridge_ok = u >= crossed
+            red_ok = (lo <= w) & (w <= hi) & bridge_ok
+            op_ok = (lo <= low) & (high <= hi) & bridge_ok
+            stop = ~(red_ok & op_ok)
+            red_exit[paths[stop]] = step + red_ok[stop]
+            op_exit[paths[stop]] = step + op_ok[stop]
+            keep = ~stop
+            paths, w, low, high = paths[keep], w[keep], low[keep], high[keep]
+    return red_exit, op_exit
 
 
 # -- Taylor coefficients ----------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ncqbm import exit_times
 from ncqbm.banded import RieffelProjectionSpec, build_rieffel_projection, is_projection
 from ncqbm.exit_times import (
     AsymptoticsReport,
     ExitFamily,
+    StepCapExceeded,
     _exit_steps,
     classical_circle_benchmark,
     convergents,
@@ -28,6 +31,7 @@ from ncqbm.lattice import meet_along_path, plateau_set
 
 from oracles import (
     convergent_denominators_oracle,
+    exit_steps_chunkwise,
     exit_time_mean_exact,
     exit_time_survival_exact,
 )
@@ -176,6 +180,98 @@ def test_step_cap_scales_with_steps(monkeypatch):
     monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 1)
     with pytest.raises(RuntimeError, match="step cap"):
         _exit_steps(fam, 1, 200, 3, sigma2, steps=1024)
+
+
+def chunkwise_reference(fam, index, n_paths, seed, sigma2, chunk, steps=16, mean_exits=4096):
+    """Exit steps of one level by the chunk-by-chunk oracle, on the level's streams."""
+    level = fam.levels[index]
+    dt = exit_time_mean_exact(level.half_width, sigma2) / steps
+    return exit_steps_chunkwise(level.epsilon - level.state_angle, level.v - level.state_angle,
+                                dt, sigma2, n_paths, chunk, mean_exits * steps,
+                                lambda c: stream_rng(seed, 3, 0, index, c))
+
+
+def spy_on_steps(monkeypatch):
+    """Live paths at each step of _exit_steps, and the step at which each
+    chunk's stream was made (the chunk's join)."""
+    live, joins = [], []
+    rule, make_stream = exit_times._reduced_rule, exit_times.stream_rng
+
+    def reduced_rule(w, *rest):
+        live.append(w.size)
+        return rule(w, *rest)
+
+    def stream(*key):
+        joins.append(len(live))
+        return make_stream(*key)
+
+    monkeypatch.setattr("ncqbm.exit_times._reduced_rule", reduced_rule)
+    monkeypatch.setattr("ncqbm.exit_times.stream_rng", stream)
+    return live, joins
+
+
+@pytest.mark.parametrize("chunk, n_paths, index, seed",
+                         [(64, 5 * 64 + 3, 2, 5), (4096, 2 * 4096 + 37, 3, 9)])
+def test_shared_loop_matches_chunks_stepped_alone(monkeypatch, chunk, n_paths, index, seed):
+    # Several joins and a partial last chunk; every exit step is bit-identical
+    # to the chunk-by-chunk oracle on the same streams.
+    monkeypatch.setattr("ncqbm.exit_times.ENGINE_CHUNK", chunk)
+    fam = ExitFamily.golden(6)
+    _, joins = spy_on_steps(monkeypatch)
+    e_red, e_op, dt = _exit_steps(fam, index, n_paths, seed, 2.0)
+    assert dt == exit_time_mean_exact(fam.levels[index].half_width, 2.0) / 16
+    ref_red, ref_op = chunkwise_reference(fam, index, n_paths, seed, 2.0, chunk)
+    assert np.array_equal(e_red, ref_red) and np.array_equal(e_op, ref_op)
+    assert len(joins) == -(-n_paths // chunk) and max(joins) > 0
+
+
+def test_shared_loop_holds_at_most_two_chunks_live(monkeypatch):
+    monkeypatch.setattr("ncqbm.exit_times.ENGINE_CHUNK", 64)
+    live, _ = spy_on_steps(monkeypatch)
+    exits, _, _ = _exit_steps(ExitFamily.golden(6), 2, 5 * 64 + 3, 5, 2.0)
+    assert max(live) == 128
+    # Stepped alone, each chunk would loop until its slowest path exits.
+    assert len(live) < sum(exits[c:c + 64].max() for c in range(0, exits.size, 64))
+
+
+def test_single_chunk_level_pays_no_join_bookkeeping(monkeypatch):
+    # Counts the calls the sampler itself makes (making a stream concatenates
+    # inside numpy, once per chunk).
+    calls = []
+    for name in ("concatenate", "searchsorted", "bincount"):
+        def spy(*args, _original=getattr(np, name), _name=name, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "ncqbm.exit_times":
+                calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    fam = ExitFamily.golden(6)
+    _exit_steps(fam, 1, 4000, 3, 2.0)
+    assert calls == []
+    # Two chunks: the spy sees the joined loop's concatenations.
+    _exit_steps(fam, 1, 4097, 3, 2.0)
+    assert "concatenate" in calls
+
+
+def test_step_cap_counts_from_each_chunks_join(monkeypatch):
+    # The cap is set just above the longest exit.  A chunk that joined late
+    # ran past it on the shared step count, yet finishes; one cap lower, the
+    # chunk with the longest exit is cut off.
+    monkeypatch.setattr("ncqbm.exit_times.ENGINE_CHUNK", 64)
+    fam = ExitFamily.golden(6)
+    n, seed = 5 * 64 + 3, 5
+    _, joins = spy_on_steps(monkeypatch)
+    exits, _, _ = _exit_steps(fam, 2, n, seed, 2.0)
+    shared_end = max(j + exits[c * 64:(c + 1) * 64].max() for c, j in enumerate(joins))
+    mean_exits = -(-int(exits.max()) // 16)
+    assert 16 * mean_exits < shared_end
+    monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", mean_exits)
+    capped, _, _ = _exit_steps(fam, 2, n, seed, 2.0)
+    assert np.array_equal(capped, exits)
+    assert np.array_equal(capped, chunkwise_reference(fam, 2, n, seed, 2.0, 64,
+                                                      mean_exits=mean_exits)[0])
+    monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", mean_exits - 1)
+    with pytest.raises(StepCapExceeded, match="step cap"):
+        _exit_steps(fam, 2, n, seed, 2.0)
 
 
 def test_steps_below_the_floor_are_rejected():

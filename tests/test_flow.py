@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ncqbm.flow import (SemigroupSpec, flow_apply, heat_multiplier, heat_semigroup_exact,
-                        sample_path, stream_rng, vacuum_expectation_mc)
+from ncqbm.flow import (BrownianPath, SemigroupSpec, flow_apply, heat_multiplier,
+                        heat_semigroup_exact, sample_path, stream_rng, vacuum_expectation_mc)
 from ncqbm.torus import AlgebraContext, TorusElement, act, mul, trace
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -40,9 +40,13 @@ def test_refine_preserves_points_and_law():
     assert fine.times.size == 2 * path.times.size - 1
     assert np.array_equal(fine.values[::2], path.values)
     assert np.array_equal(fine.times[::2], path.times)
-    # Refinement is deterministic given the seed.
-    again = path.refine()
+    # Refinement is deterministic given the seed: a fresh path with the same
+    # times, values and seed refines to the same points.
+    again = BrownianPath(path.times.copy(), path.values.copy(), path.sigma2, path.seed).refine()
+    assert again is not fine
     assert np.array_equal(fine.values, again.values)
+    # The path keeps its refinement, so a second fold does not draw it again.
+    assert path.refine() is fine
     # Midpoint spread matches the bridge variance sigma2 h / 4 in aggregate.
     paths = [sample_path(1, 1.0, 0.125, 1.0, seed=s).refine() for s in range(300)]
     mids = np.array([p.values[1::2] - (p.values[0:-1:2] + p.values[2::2]) / 2.0
