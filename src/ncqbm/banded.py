@@ -132,8 +132,11 @@ class ExactPiecewise:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         for piece in self.pieces:
-            u = np.mod(x - piece.start, 1.0)
-            u[u >= 1.0] = 0.0  # mod can round up to 1.0 for tiny negatives
+            # np.mod(y, 1.0) bit for bit (both round the same exact value
+            # once), at a fraction of its cost.
+            y = x - piece.start
+            u = y - np.floor(y)
+            u[u >= 1.0] = 0.0  # rounds up to 1.0 for tiny negatives
             mask = u < piece.length
             if np.any(mask):
                 out[mask] += piece.scale * piece.base_values(u[mask])
@@ -174,7 +177,8 @@ def grid(n: int) -> np.ndarray:
 def _stencil(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """Neighbour indices i0, i1 and weights 1 - w, w of periodic linear
     interpolation at the points x of an n-sample grid."""
-    pos = np.mod(np.asarray(x, dtype=float), 1.0) * n
+    x = np.asarray(x, dtype=float)
+    pos = (x - np.floor(x)) * n  # np.mod(x, 1.0) * n, bit for bit
     i0 = np.floor(pos).astype(np.int64)
     w = pos - i0
     i0 = np.mod(i0, n)

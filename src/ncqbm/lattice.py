@@ -3,7 +3,9 @@
 Two routes to the meet p wedge q of trapezoid-projection translates:
 
 * iterative: the alternating-product limit lim_k (pq)^{2^k}, computed by
-  repeated banded squaring with a residual stopping rule, and
+  repeated banded squaring with a residual stopping rule; each meet squares
+  with only the band products that its product plan finds can be nonzero,
+  and
 
 * closed form: under the bump-disjointness hypothesis the meet of the
   translates A_{s,t}(P) and A_{s',t'}(P) is the diagonal indicator chi_S(U)
@@ -25,8 +27,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .banded import (BAND_DROP_TOL, BandedElement, CircleFunction, RieffelProjectionSpec,
-                     _frac, banded_mul, build_rieffel_projection, indicator_banded,
-                     star_banded, supdiff, translate_action)
+                     _frac, _shift_stencil, banded_mul, build_rieffel_projection,
+                     indicator_banded, star_banded, supdiff, translate_action)
 
 
 def _circle_dist(a: float, b: float) -> float:
@@ -196,35 +198,55 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
     drive it down to where the residual sees it.  Non-convergence within
     max_iter is flagged on the report, not raised.
 
-    Bare tail: once the residual first reaches tol on a diagonal iterate,
-    the forced squarings before the last can stop nothing but a divergence,
-    so they run as bare band-0 multiplies checked once (_bare_squarings).
-    The last goes through the checked loop: every output is that of
-    squaring step by step.
+    Product plan: the squarings take only the band products that
+    _product_plan finds can be nonzero.  supp(f S g) lies inside
+    supp f cap supp S g, a sum's support inside the union of its terms', and
+    the drop rule only removes bands; so every iterate stays inside the
+    plan's closed band masks, and a pair whose masks are disjoint there is
+    0 times a finite value at every step.  A plan is made only for a finite
+    first product, and the divergence test rejects a non-finite square
+    before it becomes r, so every iterate it serves is finite.
+
+    Bare tail: at the first diagonal iterate at or after the first squaring
+    whose residual reaches tol, the forced squarings before the last can
+    stop nothing but a divergence, so they run as bare band-0 multiplies
+    checked once (_bare_squarings); this is tried once.  The last goes
+    through the checked loop: every output is that of squaring step by step
+    with banded_mul.
     """
-    r = banded_mul(p, q)
+    first = banded_mul(p, q)
+    theta = first.context.theta
+    bands = {k: f.samples for k, f in first.bands.items()}
+    sups = first.band_sups()
+    plan = _product_plan(bands, theta) if all(map(math.isfinite, sups.values())) else None
+    last = min(min_iter, max_iter) - 1
     iterations = 0
     residual = math.inf
     diverged = False
     first_hit = None
+    tail_tried = False
     while iterations < max_iter:
-        r2, residual = _square(r)
+        bands2, sups2, residual = _square(bands, sups, plan, theta)
         iterations += 1
         # Squaring a near-degenerate pair (no spectral gap, e.g. almost
         # identical translates) amplifies grid noise doubly exponentially;
         # stop at the last finite iterate and report non-convergence.
         if not math.isfinite(residual) or residual > 1e6 or \
-                not all(math.isfinite(s) for s in r2.band_sups().values()):
+                not all(map(math.isfinite, sups2.values())):
             diverged = True
             break
-        r = r2
-        if residual <= tol:
-            if first_hit is None:
-                first_hit = iterations
-                r, iterations = _bare_squarings(r, iterations,
-                                                min(min_iter, max_iter) - 1)
-            if iterations >= min_iter:
-                break
+        bands, sups = bands2, sups2
+        if residual <= tol and first_hit is None:
+            first_hit = iterations
+        if first_hit is not None and not tail_tried and bands.keys() == {0}:
+            tail_tried = True
+            tail = _bare_squarings(bands[0], iterations, last)
+            if tail is not None:
+                bands, sups, iterations = {0: tail[0]}, {0: tail[1]}, last
+        if residual <= tol and iterations >= min_iter:
+            break
+    r = BandedElement(first.context, {k: CircleFunction(v) for k, v in bands.items()},
+                      first.n)
     herm = supdiff(star_banded(r), r)
     return MeetReport(result=r, iterations=iterations, final_residual=residual,
                       converged=not diverged and residual <= tol,
@@ -232,36 +254,115 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
                       first_hit=first_hit)
 
 
-def _square(r: BandedElement) -> tuple[BandedElement, float]:
-    """r r and its residual supdiff(r r, r)."""
-    r2 = banded_mul(r, r)
-    return r2, supdiff(r2, r)
+def _product_plan(bands: dict[int, np.ndarray],
+                  theta: float) -> Optional[frozenset[tuple[int, int]]]:
+    """The pairs (k, j) whose band product f_k(x) f_j(x - k theta) can be
+    nonzero at some squaring of the finite element with these bands.
+
+    Starts from each band's nonzero mask and closes the masks under the
+    squaring map: key k + j gains the meet of mask k with mask j shifted by
+    k theta, until no mask changes.  The plan keeps the pairs whose masks
+    meet in the closure.  A closure that leaves the span of the bands gives
+    no plan (None): every product is then taken.
+    """
+    masks = {k: f != 0 for k, f in bands.items()}
+    span = range(min(masks, default=0), max(masks, default=0) + 1)
+    while True:
+        grown = dict(masks)
+        pairs = set()
+        for k, mk in masks.items():
+            if k != 0:
+                i0, i1, _, _ = _shift_stencil(mk.shape[0], k * theta)
+            for j, mj in masks.items():
+                # A shifted band can be nonzero where either stencil neighbour is.
+                meet = mk & (mj[i0] | mj[i1] if k != 0 else mj)
+                if not meet.any():
+                    continue
+                pairs.add((k, j))
+                key = k + j
+                if key not in span:
+                    return None
+                grown[key] = grown[key] | meet if key in grown else meet
+        if grown.keys() == masks.keys() and all(
+                np.array_equal(grown[k], masks[k]) for k in masks):
+            return frozenset(pairs)
+        masks = grown
 
 
-def _bare_squarings(r: BandedElement, iterations: int,
-                    last: int) -> tuple[BandedElement, int]:
-    """Square a diagonal r from `iterations` up to `last` squarings as bare
-    band-0 multiplies, or return (r, iterations) unchanged.
+def _square(bands: dict[int, np.ndarray], sups: dict[int, float],
+            plan: Optional[frozenset[tuple[int, int]]],
+            theta: float) -> tuple[dict[int, np.ndarray], dict[int, float], float]:
+    """One checked squaring of r, given as its band samples and sups: the
+    bands and sups of r r and the residual supdiff(r r, r).
 
-    The squares g are kept only if BAND_DROP_TOL < sup |g| <= 2 (a NaN fails
+    Bit for bit banded_mul(r, r) under the BandedElement drop rule: keys in
+    first-touch order, each summed in k-then-j order.  A pair the plan
+    leaves out is a signed zero, and adding it changes a component of the
+    sum only from -0.0 to +0.0; those components are found and the left-out
+    pairs added there alone.
+    """
+    terms: dict[int, list[tuple[int, int]]] = {}
+    for k in bands:
+        for j in bands:
+            terms.setdefault(k + j, []).append((k, j))
+    out: dict[int, np.ndarray] = {}
+    out_sups: dict[int, float] = {}
+    for key, pairs in terms.items():
+        kept = pairs if plan is None else [pair for pair in pairs if pair in plan]
+        if not kept:
+            continue
+        v = _band_product(bands, *kept[0], theta)
+        for k, j in kept[1:]:
+            v += _band_product(bands, k, j, theta)
+        if len(kept) < len(pairs):
+            at = np.flatnonzero(v.view(np.uint64) == 1 << 63) // 2  # -0.0 parts
+            for k, j in pairs:
+                if at.size and (k, j) not in plan:
+                    v[at] += _band_product(bands, k, j, theta, at)
+        sup = float(np.abs(v).max())
+        # Non-finite bands are kept, as BandedElement keeps them.
+        if sup > BAND_DROP_TOL or not math.isfinite(sup):
+            out[key] = v
+            out_sups[key] = sup
+    residual = 0.0  # supdiff's max: a NaN band leaves it unchanged
+    for key in out.keys() | bands.keys():
+        both = key in out and key in bands
+        residual = max(residual, float(np.abs(out[key] - bands[key]).max()) if both
+                       else out_sups.get(key, sups.get(key)))
+    return out, out_sups, residual
+
+
+def _band_product(bands: dict[int, np.ndarray], k: int, j: int, theta: float,
+                  at=slice(None)) -> np.ndarray:
+    """f_k(x) f_j(x - k theta) at the grid points `at`, as banded_mul takes it."""
+    f, g = bands[k], bands[j]
+    if k == 0:
+        return f[at] * g[at]
+    i0, i1, w0, w1 = _shift_stencil(g.shape[0], k * theta)
+    return f[at] * (g[i0[at]] * w0[at] + g[i1[at]] * w1[at])
+
+
+def _bare_squarings(f: np.ndarray, iterations: int,
+                    last: int) -> Optional[tuple[np.ndarray, float]]:
+    """The band-0 samples f of a diagonal iterate squared from `iterations`
+    up to `last` squarings as bare multiplies, with their sup; None if
+    last <= iterations or the check fails.
+
+    The squares are kept only if BAND_DROP_TOL < sup <= 2 (a NaN fails
     the comparison), which shows that no skipped check would have fired.
     Squaring moves each sample's modulus monotonically: one at most
     1 stays at most 1, one above 1 grows at every squaring.  So a band that
     dropped on the way would still be below BAND_DROP_TOL, and samples that
     end at modulus <= 2 never passed the 1e6 divergence bound.
     """
-    f = r.bands.get(0)
-    if f is None or len(r.bands) > 1 or last <= iterations:
-        return r, iterations
-    g = f.samples
+    if last <= iterations:
+        return None
     # A diverging tail overflows here; it is thrown away, so stay quiet.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(last - iterations):
-            g = g * g
-        sup = float(np.abs(g).max())
-    if not BAND_DROP_TOL < sup <= 2.0:
-        return r, iterations
-    return BandedElement(r.context, {0: CircleFunction(g)}, r.n), last
+            f = f * f
+        sup = float(np.abs(f).max())
+    return (f, sup) if BAND_DROP_TOL < sup <= 2.0 else None
 
 
 # -- closed-form meet ------------------------------------------------------------------------

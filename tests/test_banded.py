@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncqbm import banded
 from ncqbm.banded import (BandedElement, CircleFunction, ExactPiecewise, Piece,
                           RieffelProjectionSpec, banded_mul,
                           build_rieffel_projection, grid, indicator_banded,
@@ -255,3 +258,50 @@ def test_nonfinite_bands_are_not_dropped():
     assert math.isnan(elem.band_sups()[1])
     blown = BandedElement(ctx, {0: CircleFunction(np.full(16, np.inf + 0j))}, 16)
     assert math.isinf(blown.band_sups()[0])
+
+
+# -- the fractional part -------------------------------------------------------------------
+
+# Inputs where y - floor(y) and np.mod(y, 1.0) could part: values in [-3, 3]
+# and near 0, integers and their neighbours one ulp away, signed zeros and
+# tiny values.
+MOD_INPUTS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(-1e-12, 1e-12),
+    st.builds(lambda k, d: math.nextafter(k, k + d) if d else float(k),
+              st.integers(-3, 3), st.sampled_from([-1, 0, 1])),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+)
+
+
+def mod_stencil(x, n):
+    """banded._stencil with np.mod, the reference."""
+    pos = np.mod(x, 1.0) * n
+    i0 = np.floor(pos).astype(np.int64)
+    w = pos - i0
+    i0 = np.mod(i0, n)
+    return i0, np.mod(i0 + 1, n), 1.0 - w, w
+
+
+def mod_eval(exact, x):
+    """ExactPiecewise.eval with np.mod, the reference."""
+    out = np.zeros(x.shape, dtype=complex)
+    for piece in exact.pieces:
+        u = np.mod(x - piece.start, 1.0)
+        u[u >= 1.0] = 0.0
+        mask = u < piece.length
+        out[mask] += piece.scale * piece.base_values(u[mask])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(MOD_INPUTS, min_size=1, max_size=32), MOD_INPUTS,
+       st.sampled_from([512, 2048]))
+def test_fractional_part_matches_np_mod_bitwise(values, shift, n):
+    # Arbitrary points, and the shifted grid that banded_mul gathers at.
+    x = np.concatenate([np.array(values), grid(n) - shift])
+    for got, want in zip(banded._stencil(x, n), mod_stencil(x, n)):
+        assert got.tobytes() == want.tobytes()
+    p = build_rieffel_projection(RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0), 512)
+    for f in p.bands.values():
+        assert f.exact.eval(x).tobytes() == mod_eval(f.exact, x).tobytes()

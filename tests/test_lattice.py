@@ -247,9 +247,9 @@ def count_squares(monkeypatch):
     calls = []
     real = lattice._square
 
-    def counting(r):
+    def counting(*args):
         calls.append(1)
-        return real(r)
+        return real(*args)
 
     monkeypatch.setattr(lattice, "_square", counting)
     return calls
@@ -299,6 +299,115 @@ def test_bare_tail_matches_stepwise_squaring(case, monkeypatch):
         assert not report.result.bands
     if case.endswith("above-one-diverges"):
         assert not report.converged and report.iterations < 60
+
+
+def test_bare_tail_waits_for_the_first_diagonal_iterate(monkeypatch):
+    # At the first hit this criterion-2 iterate (n = 2048) still carries
+    # its off-diagonal bands; the bare tail starts at the first diagonal
+    # iterate after it, and only that squaring and the last run checked.
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    p = build_rieffel_projection(spec, 2048)
+    a = translate_action(p, 0.3, 0.1)
+    b = translate_action(p, 0.3 - spec.epsilon / 8.0, 0.7)
+    r, hit, diagonal = banded_mul(a, b), None, None
+    for step in range(1, 60):
+        r2 = banded_mul(r, r)
+        if hit is None and supdiff(r2, r) <= 1e-10:
+            hit = step
+        r = r2
+        if hit is not None and set(r.bands) == {0}:
+            diagonal = step
+            break
+    assert hit < diagonal < 59
+    squares = count_squares(monkeypatch)
+    report = meet_pair_iterative(a, b)
+    assert report.first_hit == hit
+    assert len(squares) == diagonal + 1
+    assert_same_as_stepwise(a, b, report)
+
+
+def _plan_of(r):
+    return lattice._product_plan({k: f.samples for k, f in r.bands.items()},
+                                 r.context.theta)
+
+
+PAIRS = {(k, j) for k in (-1, 0, 1) for j in (-1, 0, 1)}
+
+
+def test_product_plan_of_a_translate_pair():
+    # The bumps of two admissible translates are disjoint: their V^2 and
+    # V^-2 products vanish at every squaring, and nothing else does.
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    p = build_rieffel_projection(spec, 2048)
+    r = banded_mul(translate_action(p, 0.3, 0.1),
+                   translate_action(p, 0.3 + spec.epsilon / 16.0, 0.7))
+    assert set(r.bands) == {-1, 0, 1}
+    assert _plan_of(r) == PAIRS - {(1, 1), (-1, -1)}
+
+
+def fold_iterate(t):
+    """A criterion-3 fold iterate: the diagonal meet chi_S of S = [0.2, 0.6)
+    times a translate by 0.05 that puts only its upper ramp over S."""
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    p = build_rieffel_projection(spec, 512)
+    chi = indicator_banded(p.context, [(0.2, 0.6)], 512)
+    return banded_mul(chi, translate_action(p, 0.05, t))
+
+
+def test_product_plan_of_a_fold_iterate():
+    # Band 1 sits on the upper ramp, where band 0 shifted by theta and band
+    # 1 shifted by theta are both zero.
+    r = fold_iterate(0.8)
+    assert set(r.bands) == {0, 1}
+    assert _plan_of(r) == {(0, 0), (0, 1)}
+
+
+def test_planned_squarings_keep_signed_zeros():
+    # A pair the plan leaves out is a signed zero; where every kept term of
+    # its key is -0.0, a +0.0 left out turns the sum to +0.0.
+    r = fold_iterate(0.8)
+    theta = r.context.theta
+    bands = {k: f.samples for k, f in r.bands.items()}
+    sups = r.band_sups()
+    plan = lattice._product_plan(bands, theta)
+    for _ in range(30):
+        bands, sups, residual = lattice._square(bands, sups, plan, theta)
+        r2 = banded_mul(r, r)
+        assert residual == supdiff(r2, r) and sups == r2.band_sups()
+        assert list(bands) == list(r2.bands)
+        for k, f in r2.bands.items():
+            assert bands[k].tobytes() == f.samples.tobytes()
+        r = r2
+
+
+def test_product_plan_gives_way_outside_the_band_span():
+    # Bands that meet under every shift reach V^2, beyond the bands of r:
+    # no plan, and every product is taken.
+    values = np.full(64, 0.5, dtype=complex)
+    p = BandedElement(AlgebraContext(GOLDEN),
+                      {0: CircleFunction(values), 1: CircleFunction(values / 4.0)}, 64)
+    q = BandedElement.identity(p.context, 64)
+    assert _plan_of(banded_mul(p, q)) is None
+    report = meet_pair_iterative(p, q, max_iter=4)
+    assert set(report.result.bands) == set(range(17))
+    assert_same_as_stepwise(p, q, report, max_iter=4)
+
+
+def test_nonfinite_first_product_gets_no_plan():
+    # A NaN in band 1 where band 0 is zero: the (0, 1) product is 0 x NaN,
+    # which a plan made from the masks would skip.  Every product is taken,
+    # so the first square is NaN there and the meet stops at once.
+    a = np.zeros(64, dtype=complex)
+    a[:8] = 1.0
+    b = np.zeros(64, dtype=complex)
+    b[20] = np.nan
+    p = BandedElement(AlgebraContext(GOLDEN),
+                      {0: CircleFunction(a), 1: CircleFunction(b)}, 64)
+    q = BandedElement.identity(p.context, 64)
+    report = meet_pair_iterative(p, q)
+    assert not report.converged and report.iterations == 1
+    first = banded_mul(p, q)
+    assert report.result.bands[1].samples.tobytes() == first.bands[1].samples.tobytes()
 
 
 @pytest.fixture(scope="module")
