@@ -76,7 +76,7 @@ class Piece:
             c0, c1 = self.params
             return c0 + c1 * u
         q0, q1, q2 = self.params
-        return np.sqrt(np.clip(q0 + u * (q1 + q2 * u), 0.0, None))
+        return np.sqrt(np.maximum(q0 + u * (q1 + q2 * u), 0.0))
 
     def base_integral(self) -> float:
         length = self.length
@@ -138,7 +138,7 @@ class ExactPiecewise:
             u = y - np.floor(y)
             u[u >= 1.0] = 0.0  # rounds up to 1.0 for tiny negatives
             mask = u < piece.length
-            if np.any(mask):
+            if mask.any():
                 out[mask] += piece.scale * piece.base_values(u[mask])
         return out
 
@@ -188,7 +188,9 @@ def _stencil(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=8)
 def _shift_stencil(n: int, s: float) -> tuple[np.ndarray, ...]:
     """The stencil of grid(n) - s; banded products reuse a few shifts k theta."""
-    return _stencil(grid(n) - s, n)
+    i0, i1, w0, w1 = _stencil(grid(n) - s, n)
+    # Complex weights: the products promote them to w + 0j anyway.
+    return i0, i1, w0.astype(complex), w1.astype(complex)
 
 
 class CircleFunction:

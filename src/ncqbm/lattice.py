@@ -5,7 +5,8 @@ Two routes to the meet p wedge q of trapezoid-projection translates:
 * iterative: the alternating-product limit lim_k (pq)^{2^k}, computed by
   repeated banded squaring with a residual stopping rule; each meet squares
   with only the band products that its product plan finds can be nonzero,
-  and
+  by a squaring program built once per key set, and takes the exact
+  residual only where the band sups leave it in doubt; and
 
 * closed form: under the bump-disjointness hypothesis the meet of the
   translates A_{s,t}(P) and A_{s',t'}(P) is the diagonal indicator chi_S(U)
@@ -205,7 +206,22 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
     plan's closed band masks, and a pair whose masks are disjoint there is
     0 times a finite value at every step.  A plan is made only for a finite
     first product, and the divergence test rejects a non-finite square
-    before it becomes r, so every iterate it serves is finite.
+    before it becomes r, so every iterate it serves is finite.  Each key set
+    that r takes gets its squaring program (_program) once per meet.
+
+    Residual rule: the exact residual (_residual) is computed only where it
+    can change a result.  From the band sups of r and r^2 over the union of
+    their keys (a key on one side alone contributes its sup, as in the
+    exact residual), let L = max |sup r^2_k - sup r_k| and
+    U = max (sup r^2_k + sup r_k).  By the reverse triangle inequality the
+    residual lies in [L, U].  If every sup is finite, U < 1e5 and
+    L > 2 tol + 1e-12 U, it is above tol and below 1e6: it can set no
+    first hit, stop nothing and signal no divergence, and L stands in for
+    it.  Rounding moves the computed sups and residual by a few units of
+    2^-53 times U, far below the 1e-12 U margin, and finite sups mean
+    finite samples.  The last allowed squaring always takes the exact
+    residual, and so does every other way out of the loop, so
+    final_residual is exact.
 
     Bare tail: at the first diagonal iterate at or after the first squaring
     whose residual reaches tol, the forced squarings before the last can
@@ -219,6 +235,7 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
     bands = {k: f.samples for k, f in first.bands.items()}
     sups = first.band_sups()
     plan = _product_plan(bands, theta) if all(map(math.isfinite, sups.values())) else None
+    programs: dict[tuple[int, ...], list] = {}
     last = min(min_iter, max_iter) - 1
     iterations = 0
     residual = math.inf
@@ -226,8 +243,14 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
     first_hit = None
     tail_tried = False
     while iterations < max_iter:
-        bands2, sups2, residual = _square(bands, sups, plan, theta)
+        keys = tuple(bands)
+        program = programs.get(keys)
+        if program is None:
+            program = programs[keys] = _program(keys, plan, theta, first.n)
+        bands2, sups2 = _square(bands, program)
         iterations += 1
+        floor = _residual_floor(sups2, sups, tol) if iterations < max_iter else None
+        residual = floor if floor is not None else _residual(bands2, sups2, bands, sups)
         # Squaring a near-degenerate pair (no spectral gap, e.g. almost
         # identical translates) amplifies grid noise doubly exponentially;
         # stop at the last finite iterate and report non-convergence.
@@ -289,11 +312,32 @@ def _product_plan(bands: dict[int, np.ndarray],
         masks = grown
 
 
-def _square(bands: dict[int, np.ndarray], sups: dict[int, float],
-            plan: Optional[frozenset[tuple[int, int]]],
-            theta: float) -> tuple[dict[int, np.ndarray], dict[int, float], float]:
-    """One checked squaring of r, given as its band samples and sups: the
-    bands and sups of r r and the residual supdiff(r r, r).
+# A band product (k, j, stencil): the stencil of the shift by k theta, None for k = 0.
+_Product = tuple[int, int, Optional[tuple[np.ndarray, ...]]]
+
+
+def _program(keys: tuple[int, ...], plan: Optional[frozenset[tuple[int, int]]],
+             theta: float, n: int) -> list[tuple[int, list[_Product], list[_Product]]]:
+    """The squaring program of an element with bands `keys` (in their order)
+    on an n-point grid: for each output key in first-touch order, the band
+    products the plan keeps, in k-then-j order, and the products it leaves
+    out, which the signed-zero fix-up of _square needs.  Keys with no kept
+    product are left out.  With no plan every product is kept.
+    """
+    stencils = {k: _shift_stencil(n, k * theta) if k != 0 else None for k in keys}
+    terms: dict[int, tuple[list[_Product], list[_Product]]] = {}
+    for k in keys:
+        for j in keys:
+            kept, left_out = terms.setdefault(k + j, ([], []))
+            (kept if plan is None or (k, j) in plan else left_out).append((k, j, stencils[k]))
+    return [(key, kept, left_out) for key, (kept, left_out) in terms.items() if kept]
+
+
+def _square(bands: dict[int, np.ndarray],
+            program: list[tuple[int, list[_Product], list[_Product]]]
+            ) -> tuple[dict[int, np.ndarray], dict[int, float]]:
+    """One squaring of r, given as its band samples, by the program of its
+    keys: the bands and sups of r r.
 
     Bit for bit banded_mul(r, r) under the BandedElement drop rule: keys in
     first-touch order, each summed in k-then-j order.  A pair the plan
@@ -301,45 +345,58 @@ def _square(bands: dict[int, np.ndarray], sups: dict[int, float],
     sum only from -0.0 to +0.0; those components are found and the left-out
     pairs added there alone.
     """
-    terms: dict[int, list[tuple[int, int]]] = {}
-    for k in bands:
-        for j in bands:
-            terms.setdefault(k + j, []).append((k, j))
     out: dict[int, np.ndarray] = {}
     out_sups: dict[int, float] = {}
-    for key, pairs in terms.items():
-        kept = pairs if plan is None else [pair for pair in pairs if pair in plan]
-        if not kept:
-            continue
-        v = _band_product(bands, *kept[0], theta)
-        for k, j in kept[1:]:
-            v += _band_product(bands, k, j, theta)
-        if len(kept) < len(pairs):
+    for key, kept, left_out in program:
+        v = _band_product(bands, *kept[0])
+        for product in kept[1:]:
+            v += _band_product(bands, *product)
+        if left_out:
             at = np.flatnonzero(v.view(np.uint64) == 1 << 63) // 2  # -0.0 parts
-            for k, j in pairs:
-                if at.size and (k, j) not in plan:
-                    v[at] += _band_product(bands, k, j, theta, at)
+            if at.size:
+                for product in left_out:
+                    v[at] += _band_product(bands, *product, at)
         sup = float(np.abs(v).max())
         # Non-finite bands are kept, as BandedElement keeps them.
         if sup > BAND_DROP_TOL or not math.isfinite(sup):
             out[key] = v
             out_sups[key] = sup
-    residual = 0.0  # supdiff's max: a NaN band leaves it unchanged
-    for key in out.keys() | bands.keys():
-        both = key in out and key in bands
-        residual = max(residual, float(np.abs(out[key] - bands[key]).max()) if both
-                       else out_sups.get(key, sups.get(key)))
-    return out, out_sups, residual
+    return out, out_sups
 
 
-def _band_product(bands: dict[int, np.ndarray], k: int, j: int, theta: float,
-                  at=slice(None)) -> np.ndarray:
+def _band_product(bands: dict[int, np.ndarray], k: int, j: int,
+                  stencil: Optional[tuple[np.ndarray, ...]], at=slice(None)) -> np.ndarray:
     """f_k(x) f_j(x - k theta) at the grid points `at`, as banded_mul takes it."""
     f, g = bands[k], bands[j]
-    if k == 0:
+    if stencil is None:
         return f[at] * g[at]
-    i0, i1, w0, w1 = _shift_stencil(g.shape[0], k * theta)
+    i0, i1, w0, w1 = stencil
     return f[at] * (g[i0[at]] * w0[at] + g[i1[at]] * w1[at])
+
+
+def _residual_floor(sups2: dict[int, float], sups: dict[int, float],
+                    tol: float) -> Optional[float]:
+    """L, the lower bound on supdiff(r r, r) from the band sups, when it
+    settles the residual strictly between tol and 1e6 (see
+    meet_pair_iterative); None when the exact residual is needed."""
+    low = high = 0.0
+    for key in sups2.keys() | sups.keys():
+        a, b = sups2.get(key, 0.0), sups.get(key, 0.0)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return None
+        low, high = max(low, abs(a - b)), max(high, a + b)
+    return low if high < 1e5 and low > 2.0 * tol + 1e-12 * high else None
+
+
+def _residual(bands2: dict[int, np.ndarray], sups2: dict[int, float],
+              bands: dict[int, np.ndarray], sups: dict[int, float]) -> float:
+    """supdiff(r r, r) from the bands and sups of both sides."""
+    residual = 0.0  # supdiff's max: a NaN band leaves it unchanged
+    for key in bands2.keys() | bands.keys():
+        both = key in bands2 and key in bands
+        residual = max(residual, float(np.abs(bands2[key] - bands[key]).max()) if both
+                       else sups2.get(key, sups.get(key)))
+    return residual
 
 
 def _bare_squarings(f: np.ndarray, iterations: int,
@@ -448,7 +505,8 @@ def meet_along_path(spec: RieffelProjectionSpec, path, levels: int = 24,
     """Fold of plateau translates along a sampled Brownian path.
 
     The set is the intersection over samples s_i of the translated plateau
-    [eps, theta_e) - W(s_i), where W is the first path component.  The path
+    [eps, theta_e) - W(s_i), where W is the first path component; it is cut
+    only at the samples that set a new minimum or maximum of W.  The path
     is first bridge-refined until every component's step is below eps/4,
     the rule meet_along_path_operator shares (_refine_path); if `levels`
     refinements do not get there, raises "path too rough for eps".
@@ -461,8 +519,14 @@ def meet_along_path(spec: RieffelProjectionSpec, path, levels: int = 24,
     w = values[:, 0] if values.ndim == 2 else values
     plat = plateau_set(spec)
     out = IntervalSet.full()
-    for wi in w:
-        out = out.intersect(plat.translate(-float(wi)))
+    lo, hi = math.inf, -math.inf
+    for wi in w.tolist():
+        # A sample inside the running [min W, max W] translates the plateau
+        # onto a superset of the running intersection: only new extremes cut.
+        if lo <= wi <= hi:
+            continue
+        lo, hi = min(lo, wi), max(hi, wi)
+        out = out.intersect(plat.translate(-wi))
         if out.is_empty:
             break
     survived = out.contains(state_angle) if state_angle is not None else None

@@ -305,3 +305,40 @@ def test_fractional_part_matches_np_mod_bitwise(values, shift, n):
     p = build_rieffel_projection(RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0), 512)
     for f in p.bands.values():
         assert f.exact.eval(x).tobytes() == mod_eval(f.exact, x).tobytes()
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310]
+# Each pair of signed zeros, NaN and infinities as (real, imag).
+SPECIAL_PAIRS = [(a, b) for a in SPECIAL_FLOATS[:5] for b in SPECIAL_FLOATS[:5]]
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ANY_FLOAT, max_size=32), st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT))
+def test_sqrtquad_floor_matches_np_clip_bitwise(values, params):
+    # Piece.base_values floors the quadratic with np.maximum(q, 0.0); it must
+    # give np.clip(q, 0.0, None)'s bytes, signed zeros and NaNs included.
+    x = np.array(SPECIAL_FLOATS + values)
+    assert np.maximum(x, 0.0).tobytes() == np.clip(x, 0.0, None).tobytes()
+    q0, q1, q2 = params
+    piece = Piece(0.0, 1.0, "sqrtquad", params)
+    with np.errstate(all="ignore"):
+        want = np.sqrt(np.clip(q0 + x * (q1 + q2 * x), 0.0, None))
+        assert piece.base_values(x).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT), min_size=2, max_size=32),
+       st.floats(0.0, 1.0))
+def test_complex_stencil_weights_match_float_bitwise(parts, shift):
+    # _shift_stencil stores its weights as complex; numpy promotes a float
+    # weight to w + 0j in each complex product, so the bytes are the same.
+    g = np.array([complex(re, im) for re, im in SPECIAL_PAIRS + parts])
+    n = g.shape[0]
+    i0, i1, w0, w1 = banded._stencil(grid(n) - shift, n)
+    c0, c1 = banded._shift_stencil(n, shift)[2:]
+    assert c0.dtype == c1.dtype == complex
+    with np.errstate(all="ignore"):
+        want = g[i0] * w0 + g[i1] * w1
+        got = g[i0] * c0 + g[i1] * c1
+    assert got.tobytes() == want.tobytes()

@@ -243,16 +243,21 @@ def assert_same_as_stepwise(p, q, report, **kwargs):
         assert report.result.bands[k].samples.tobytes() == f.samples.tobytes()
 
 
-def count_squares(monkeypatch):
+def count_calls(monkeypatch, name):
+    """A list that grows by one at each call of lattice.<name>."""
     calls = []
-    real = lattice._square
+    real = getattr(lattice, name)
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(lattice, "_square", counting)
+    monkeypatch.setattr(lattice, name, counting)
     return calls
+
+
+def count_squares(monkeypatch):
+    return count_calls(monkeypatch, "_square")
 
 
 NEAR_ONE = 1.0 - 2.0 ** -40
@@ -371,7 +376,9 @@ def test_planned_squarings_keep_signed_zeros():
     sups = r.band_sups()
     plan = lattice._product_plan(bands, theta)
     for _ in range(30):
-        bands, sups, residual = lattice._square(bands, sups, plan, theta)
+        bands2, sups2 = lattice._square(bands, lattice._program(tuple(bands), plan, theta, r.n))
+        residual = lattice._residual(bands2, sups2, bands, sups)
+        bands, sups = bands2, sups2
         r2 = banded_mul(r, r)
         assert residual == supdiff(r2, r) and sups == r2.band_sups()
         assert list(bands) == list(r2.bands)
@@ -408,16 +415,74 @@ def test_nonfinite_first_product_gets_no_plan():
     assert not report.converged and report.iterations == 1
     first = banded_mul(p, q)
     assert report.result.bands[1].samples.tobytes() == first.bands[1].samples.tobytes()
+    assert report.final_residual == stepwise_meet(p, q)[2]
+
+
+def test_nan_square_takes_the_exact_residual(monkeypatch):
+    # The sups of band 0 alone would settle the residual (0.9 -> 0.81), but
+    # the square's NaN sups do not: the exact residual is taken, and the
+    # meet stops on the divergence with it.
+    a = np.zeros(64, dtype=complex)
+    a[:4], a[4:8] = 0.5, 0.9
+    b = np.zeros(64, dtype=complex)
+    b[20] = np.nan
+    p = BandedElement(AlgebraContext(GOLDEN),
+                      {0: CircleFunction(a), 1: CircleFunction(b)}, 64)
+    q = BandedElement.identity(p.context, 64)
+    residuals = count_calls(monkeypatch, "_residual")
+    report = meet_pair_iterative(p, q)
+    assert not report.converged and report.iterations == 1 and len(residuals) == 1
+    assert report.final_residual == stepwise_meet(p, q)[2] == 0.25
+
+
+def test_dropped_band_settles_the_residual_by_its_sup(monkeypatch):
+    # Band 1 sits where band 0 and its shift by theta are zero, so the
+    # square drops it and keeps the projection band 0.  The residual of
+    # that squaring is band 1's sup alone, which the sups settle above tol;
+    # the second squaring's residual is 0, taken exactly.
+    a = np.zeros(64, dtype=complex)
+    a[:16] = 1.0
+    b = np.zeros(64, dtype=complex)
+    b[32] = 1e-6
+    p = BandedElement(AlgebraContext(GOLDEN),
+                      {0: CircleFunction(a), 1: CircleFunction(b)}, 64)
+    q = BandedElement.identity(p.context, 64)
+    residuals = count_calls(monkeypatch, "_residual")
+    report = meet_pair_iterative(p, q, min_iter=2)
+    assert report.converged and report.iterations == 2 and len(residuals) == 1
+    assert report.first_hit == 2 and report.final_residual == 0.0
+    assert_same_as_stepwise(p, q, report, min_iter=2)
+
+
+def test_last_allowed_squaring_takes_the_exact_residual(monkeypatch):
+    # A criterion-2 pair stopped by max_iter = 5, on a squaring whose sups
+    # would settle its residual: the report still carries the exact one.
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    p = build_rieffel_projection(spec, 2048)
+    a = translate_action(p, 0.3, 0.1)
+    b = translate_action(p, 0.3 - spec.epsilon / 8.0, 0.7)
+    r = banded_mul(a, b)
+    for _ in range(4):
+        r = banded_mul(r, r)
+    assert lattice._residual_floor(banded_mul(r, r).band_sups(), r.band_sups(),
+                                   1e-10) is not None
+    residuals = count_calls(monkeypatch, "_residual")
+    report = meet_pair_iterative(a, b, max_iter=5)
+    assert report.iterations == 5 and not report.converged
+    assert len(residuals) < 5
+    assert_same_as_stepwise(a, b, report, max_iter=5)
 
 
 @pytest.fixture(scope="module")
-def criterion_meets():
+def criterion_run():
     """Every meet_pair_iterative call of the 50 criterion-2 tuples and of 5
     criterion-3 paths, as (p, q, kwargs, report), made with RuntimeWarnings
-    raised as errors."""
+    raised as errors; and per part, the counts of checked squarings and of
+    exact residuals."""
     spec = RieffelProjectionSpec(theta=GOLDEN, epsilon=GOLDEN / 4.0, scale_k=1)
     eps = spec.epsilon
     calls = {"criterion-2": [], "criterion-3": []}
+    counts = {name: {"squarings": 0, "exact residuals": 0} for name in calls}
     real = lattice.meet_pair_iterative
     part = None
 
@@ -426,9 +491,17 @@ def criterion_meets():
         calls[part].append((p, q, kwargs, report))
         return report
 
+    def counting(name, real):
+        def counted(*args):
+            counts[part][name] += 1
+            return real(*args)
+        return counted
+
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         mp.setattr(lattice, "meet_pair_iterative", recording)
+        mp.setattr(lattice, "_square", counting("squarings", lattice._square))
+        mp.setattr(lattice, "_residual", counting("exact residuals", lattice._residual))
         part = "criterion-2"
         rng = stream_rng(20260815, 50)
         for _ in range(50):
@@ -441,7 +514,12 @@ def criterion_meets():
         for k in range(5):
             path = sample_path(dim=2, horizon=0.02, dt=0.005, sigma2=1.0, seed=3000 + k)
             meet_along_path_operator(spec, path, n=512, min_iter=40)
-    return calls
+    return calls, counts
+
+
+@pytest.fixture(scope="module")
+def criterion_meets(criterion_run):
+    return criterion_run[0]
 
 
 def test_criterion_meets_match_stepwise_squaring(criterion_meets):
@@ -459,6 +537,13 @@ def test_criterion_2_first_hits_precede_the_forced_squarings(criterion_meets):
     hits = [report.first_hit for report in reports]
     assert all(11 <= h <= 30 for h in hits), hits
     assert all(report.iterations == 60 for report in reports)
+
+
+def test_sups_settle_most_criterion_residuals(criterion_run):
+    # The exact residual is taken only where the band sups cannot place it
+    # strictly between tol and 1e6.
+    for part, count in criterion_run[1].items():
+        assert count["exact residuals"] < count["squarings"] / 2, (part, count)
 
 
 def test_meet_hypotheses_are_checked_before_any_squaring(monkeypatch):
@@ -565,6 +650,32 @@ def test_meet_along_path_exit():
                           state_angle=0.2)
     assert res.intervals.is_empty
     assert res.survived is False
+
+
+def per_sample_fold(spec, path, state_angle):
+    """meet_along_path's fold with one intersection per refined sample."""
+    values, levels_used, max_inc = lattice._refine_path(path, spec.epsilon, 24)
+    w = values[:, 0]
+    plat = plateau_set(spec)
+    out = IntervalSet.full()
+    for wi in w:
+        out = out.intersect(plat.translate(-float(wi)))
+        if out.is_empty:
+            break
+    return out, out.contains(state_angle), levels_used, int(w.size), max_inc
+
+
+def test_extremes_fold_matches_per_sample_fold():
+    # Only samples that set a new min or max of W cut the running set.
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    for k in range(100):
+        path = sample_path(dim=2, horizon=0.02, dt=0.005, sigma2=1.0, seed=3000 + k)
+        for angle in (0.2, 0.4, 0.6):
+            res = meet_along_path(spec, path, state_angle=angle)
+            want = per_sample_fold(spec, path, angle)
+            assert res.intervals.arcs == want[0].arcs, (k, angle)
+            assert (res.survived, res.levels_used, res.n_points,
+                    res.max_increment) == want[1:], (k, angle)
 
 
 # -- operator path meets ------------------------------------------------------------------
