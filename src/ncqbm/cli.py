@@ -228,6 +228,10 @@ def cmd_meet_demo(cfg: ExperimentConfig) -> int:
                                  epsilon=cfg.meet_epsilon_factor * theta_e,
                                  scale_k=1)
     eps = spec.epsilon
+    # The fold's quantum rule 8/n < eps/4: a coarser grid holds about one
+    # sample per ramp and cannot see an arc that is off by a ramp.
+    if cfg.meet_grid <= 32.0 / eps:
+        raise ConfigError(f"meet grid must exceed 32/epsilon = {32.0 / eps:.1f}")
     rng = stream_rng(cfg.seed, 40)
     rows = ["index,s,t,s_prime,t_prime,supdiff,converged,note"]
     failures = 0

@@ -23,12 +23,15 @@ value} maps).  The rows are never made dense at full width: columns that
 share a row are joined into blocks, and the rank is the sum of the blocks'
 dense ranks at the absolute tolerance RANK_TOL.  A matrix that is
 block-diagonal up to a permutation has its blocks' singular values, so this
-is the rank of the full matrix at the same tolerance.  Matrix exponentials
-use scaling and squaring with a degree-18 Taylor polynomial, in numpy.
+is the rank of the full matrix at the same tolerance.  Blocks of one shape
+share one stacked SVD, which gives each matrix its own singular values.
+Matrix exponentials use scaling and squaring with a degree-18 Taylor
+polynomial, in numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re as _re
@@ -501,7 +504,7 @@ def _rank(rows: Sequence[dict], n_unknowns: int) -> int:
 
     Only exact zeros are dropped: a coefficient 1 - lam_ij lam_ji can be one
     ulp off zero, and the dense rank sees it too.  A union-find joins the
-    columns that share a row; each block of rows is ranked densely.
+    columns that share a row; the dense blocks of one shape share one SVD.
     """
     parent = list(range(n_unknowns))
 
@@ -523,15 +526,16 @@ def _rank(rows: Sequence[dict], n_unknowns: int) -> int:
     blocks: dict = defaultdict(list)
     for row in kept:
         blocks[find(next(iter(row)))].append(row)
-    rank = 0
+    by_shape: dict = defaultdict(list)
     for block in blocks.values():
         local = {c: k for k, c in enumerate({c for row in block for c in row})}
         dense = np.zeros((len(block), len(local)), dtype=complex)
         for r, row in enumerate(block):
             for c, v in row.items():
                 dense[r, local[c]] = v
-        rank += int(np.linalg.matrix_rank(dense, tol=RANK_TOL))
-    return rank
+        by_shape[dense.shape].append(dense)
+    return sum(int(np.count_nonzero(np.linalg.svd(np.stack(same), compute_uv=False) > RANK_TOL))
+               for same in by_shape.values())
 
 
 # -- epsilon-derivation dimensions ----------------------------------------------------------------
@@ -542,7 +546,8 @@ def _otheta_derivation_system(n: int) -> tuple[list[dict], int]:
 
     A generic deformation matrix (fixed seed) realizes the irrational-angle
     situation; the surviving solutions are diagonal c with c_hat = -c and
-    vanishing d, d_hat.
+    vanishing d, d_hat.  Only tuples that a relation mentions get rows; the
+    closing family (c_hat = -c^T, antisymmetric d, d_hat) comes last.
     """
     m = 2 * n
     rng = np.random.default_rng(20240817)
@@ -567,23 +572,22 @@ def _otheta_derivation_system(n: int) -> tuple[list[dict], int]:
 
     rows = []
     rng_idx = range(m)
-    for mu in rng_idx:
-        for nu in rng_idx:
-            for tau in rng_idx:
-                for rho in rng_idx:
-                    f = 1.0 - lam[mu][tau] * lam[rho][nu]
-                    f2 = 1.0 - lam[tau][mu] * lam[nu][rho]
-                    # a a, a b, a a* and a b* commutations
-                    aa, ab, aas, abs_ = [], [], [], []
-                    if tau == rho:
-                        aa.append((c_col(mu, nu), f))
-                        aas.append((c_col(mu, nu), f2))
-                    if mu == nu:
-                        aa.append((c_col(tau, rho), f))
-                        ab.append((d_col(tau, rho), f))
-                        aas.append((chat_col(tau, rho), f2))
-                        abs_.append((dhat_col(tau, rho), f2))
-                    rows += [_row(*aa), _row(*ab), _row(*aas), _row(*abs_)]
+    for mu, nu, tau, rho in itertools.product(rng_idx, repeat=4):
+        if tau != rho and mu != nu:
+            continue  # no relation mentions this tuple
+        f = 1.0 - lam[mu][tau] * lam[rho][nu]
+        f2 = 1.0 - lam[tau][mu] * lam[nu][rho]
+        # a a, a b, a a* and a b* commutations
+        aa, ab, aas, abs_ = [], [], [], []
+        if tau == rho:
+            aa.append((c_col(mu, nu), f))
+            aas.append((c_col(mu, nu), f2))
+        if mu == nu:
+            aa.append((c_col(tau, rho), f))
+            ab.append((d_col(tau, rho), f))
+            aas.append((chat_col(tau, rho), f2))
+            abs_.append((dhat_col(tau, rho), f2))
+        rows += [_row(*es) for es in (aa, ab, aas, abs_) if es]
     for alpha in rng_idx:
         for beta in rng_idx:
             rows.append(_row((chat_col(beta, alpha), 1.0), (c_col(alpha, beta), 1.0)))

@@ -1,6 +1,15 @@
-"""Collects acceptance-criterion outcomes and prints one line per criterion."""
+"""Collects acceptance-criterion outcomes and prints one line per criterion.
 
+BLAS and OpenMP run on one thread, as in bench/run.py: the suite's dense
+matrices are small, and threads only add start-up and contention to them.
+This runs before any test module imports numpy.
+"""
+
+import os
 import re
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 CRITERIA = {
     1: "trapezoid projection identities and trace at grid 4096",

@@ -130,6 +130,17 @@ def test_meet_demo_rows_and_special_branches(tmp_path):
         assert supdiff < 1e-6
 
 
+def test_meet_demo_grid_floor(tmp_path, capsys):
+    # At the defaults eps = theta/4 and 32/eps = 207.1: the fold's quantum
+    # rule 8/n < eps/4 rejects 207 and accepts 208.
+    out = tmp_path / "out"
+    assert run(["meet-demo", "--grid", "207", "--out", str(out)]) == 2
+    assert "meet grid must exceed 32/epsilon = 207.1" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["meet-demo", "--grid", "208", "--out", str(out)]) == 0
+    assert (out / "meet_demo.csv").exists()
+
+
 # -- semigroup-check -------------------------------------------------------------------------
 
 

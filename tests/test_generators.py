@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -436,6 +437,108 @@ def test_biinvariant_block_rank_matches_dense_rank(monkeypatch, include_biinvari
     assert len(seen) == 3
 
 
+def _blocks(rows):
+    """Dense blocks of the rows' exact nonzeros, joined by shared columns."""
+    rows = [{c: v for c, v in row.items() if v != 0} for row in rows]
+    rows = [row for row in rows if row]
+    label = {}
+    for r, row in enumerate(rows):
+        # This row joins its columns and every block they touch under label r.
+        merged = {label[c] for c in row if c in label}
+        for c in label:
+            if label[c] in merged:
+                label[c] = r
+        for c in row:
+            label[c] = r
+    groups = {}
+    for row in rows:
+        groups.setdefault(label[next(iter(row))], []).append(row)
+    blocks = []
+    for group in groups.values():
+        cols = sorted({c for row in group for c in row})
+        dense = np.zeros((len(group), len(cols)), dtype=complex)
+        for r, row in enumerate(group):
+            for c, v in row.items():
+                dense[r, cols.index(c)] = v
+        blocks.append(dense)
+    return blocks
+
+
+def _per_block_rank(rows):
+    return sum(int(np.linalg.matrix_rank(block, tol=1e-8)) for block in _blocks(rows))
+
+
+def _biinvariant_system(n, include_biinvariance):
+    """The (rows, n_unknowns) that solve_biinvariant_oplus ranks."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_rank", lambda rows, unknowns: seen.append((rows, unknowns)) or 0)
+        solve_biinvariant_oplus(n, include_biinvariance)
+    return seen[0]
+
+
+# Every system that lab-checks ranks.
+RANKED_SYSTEMS = {
+    **DERIVATION_SYSTEMS,
+    "otheta(4)": lambda: generators._otheta_derivation_system(4),
+    **{f"biinvariant({n}, {include})": lambda n=n, include=include: _biinvariant_system(n, include)
+       for n in (1, 2, 3, 4) for include in (True, False)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANKED_SYSTEMS))
+def test_block_rank_matches_per_block_rank(name):
+    rows, n_unknowns = RANKED_SYSTEMS[name]()
+    assert generators._rank(rows, n_unknowns) == _per_block_rank(rows)
+
+
+@pytest.mark.parametrize("name", ["otheta(3)", "oplus(2)", "torus", "biinvariant(4, True)"])
+def test_block_rank_runs_one_svd_per_block_shape(monkeypatch, name):
+    rows, n_unknowns = RANKED_SYSTEMS[name]()
+    svd = np.linalg.svd
+    stacks = []
+
+    def spy(a, *args, **kwargs):
+        stacks.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    generators._rank(rows, n_unknowns)
+    shapes = [block.shape for block in _blocks(rows)]
+    assert sorted(shape[1:] for shape in stacks) == sorted(set(shapes))
+    assert {shape[1:]: shape[0] for shape in stacks} == {
+        shape: shapes.count(shape) for shape in set(shapes)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_otheta_system_has_only_nonempty_rows(n):
+    m = 2 * n
+    rows, n_unknowns = generators._otheta_derivation_system(n)
+    assert n_unknowns == 4 * m * m
+    assert len(rows) == 6 * m ** 3 + m ** 2
+    assert all(rows)
+
+    # c, c_hat, d, d_hat are the four m x m families of unknowns, in order.
+    def col(family, i, j):
+        return family * m * m + i * m + j
+
+    # The closing family: c_hat = -c^T, then antisymmetric d and d_hat (a
+    # diagonal entry of d gets coefficient 2).
+    closing = [Counter(cols) for a in range(m) for b in range(m)
+               for cols in ((col(1, b, a), col(0, a, b)), (col(2, a, b), col(2, b, a)),
+                            (col(3, a, b), col(3, b, a)))]
+    assert [dict(row) for row in rows[-3 * m * m:]] == closing
+
+
+def test_block_rank_tolerance_is_absolute():
+    # 1e9 and 1 in one block, then in two stacked 1x1 blocks: both count at
+    # the absolute tolerance, where a relative one would drop the 1.  A lone
+    # 1e-9 is below it.
+    assert generators._rank([{0: 1e9}, {0: 1.0, 1: 1.0}], 2) == 2
+    assert generators._rank([{0: 1e9}, {1: 1.0}], 2) == 2
+    assert generators._rank([{0: 1e-9}], 1) == 0
+
+
 def test_block_rank_keeps_tiny_links():
     # Column 2 is linked to columns {0, 1} only through a 1e-16 entry.  The
     # link row differs from {2: 1} by that entry, so the two have rank 1 at
@@ -468,7 +571,7 @@ def test_derivation_systems_stay_small_in_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15 * 2 ** 20
+    assert peak < 3 * 2 ** 20
 
 
 def test_derivation_dimension_parse_errors():
