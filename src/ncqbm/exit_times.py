@@ -2,6 +2,8 @@
 
 For an irrational angle theta the continued-fraction denominators k_n give
 angles v_n = ||k_n theta|| (distance to the nearest integer) tending to zero.
+The family is that of theta's binary value, computed exactly, to the levels
+that value determines: those every real rounding to the same double shares.
 At level n the trapezoid projection with effective angle v_n and
 eps_n = v_n / 2 has plateau [v_n/2, v_n); the state angle x_n = 3 v_n / 4
 sits at its centre, a distance v_n / 4 from both edges.  The flow translates
@@ -49,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,47 +71,47 @@ MAX_MEAN_EXITS = 4096
 # Fewer steps per mean exit than this sample a level too coarsely for the
 # mid-step estimators and the one-edge bridge kill to hold.
 MIN_MEAN_STEPS = 8
-# Largest relative error k_n 2^-53 / v_n of a reduced angle: theta as a double
-# is off by up to 2^-54, and k_n theta rounds too.  1e-4 moves gamma ~ v^2 by
-# 2e-4, under 1/40 of a level's 0.8% stderr at 10^4 paths.
-ANGLE_PRECISION_BUDGET = 1e-4
 
 
 # -- continued fractions and the family -----------------------------------------------
 
 
 def convergents(theta: float, count: int) -> list[int]:
-    """Denominators q_1..q_count of the continued fraction of theta.
+    """Denominators q_1..q_count of the continued fraction of theta's binary value.
 
-    Raises for rational theta (the expansion terminates, so the denominators
-    are eventually undefined) and for count > 20 (beyond double precision).
+    theta stands for every real in its half-ulp rounding interval, so a
+    partial quotient counts only where both ends of that interval give it;
+    the levels up to the first quotient where they differ are the ones theta
+    determines.  Raises ("rational theta") when it determines fewer than
+    count, and for count outside 1..20.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0,1)")
     if count < 1 or count > 20:
         raise ValueError("count must be between 1 and 20")
-    x = theta
+    half_ulp = Fraction(math.ulp(theta)) / 2
+    lo, hi = Fraction(theta) - half_ulp, Fraction(theta) + half_ulp
     q_mm, q_m = 0, 1
     out: list[int] = []
-    while len(out) < count:
-        if x < 1e-12:
-            raise ValueError("rational theta: continued fraction terminates")
-        x = 1.0 / x
-        a = math.floor(x)
-        if a > 10 ** 9:
-            raise ValueError("rational theta: continued fraction terminates")
-        q = a * q_m + q_mm
-        q_mm, q_m = q_m, q
-        out.append(q)
-        x -= a
-    if x < 1e-12:
-        raise ValueError("rational theta: continued fraction terminates")
+    while len(out) < count and lo and hi:
+        lo, hi = 1 / lo, 1 / hi
+        a = math.floor(lo)
+        if a != math.floor(hi):
+            break
+        lo, hi = lo - a, hi - a
+        q_mm, q_m = q_m, a * q_m + q_mm
+        out.append(q_m)
+    if len(out) < count:
+        raise ValueError(f"rational theta: the double {theta!r} determines "
+                         f"{len(out)} of the {count} continued-fraction levels asked")
     return out
 
 
-def reduced_angle(x: float) -> float:
-    """Distance from x to the nearest integer."""
-    return abs(x - round(x))
+def reduced_angle(k: int, theta: float) -> float:
+    """||k theta||, the distance from k theta to the nearest integer, exactly on
+    theta's binary value and rounded once."""
+    x = k * Fraction(theta)
+    return float(abs(x - round(x)))
 
 
 @dataclass(frozen=True)
@@ -141,14 +144,11 @@ class ExitFamily:
 
     def __post_init__(self) -> None:
         levels = []
-        for i, k in enumerate(self.ks):
-            v = reduced_angle(k * self.theta)
+        for i, k in enumerate(map(int, self.ks)):
+            v = reduced_angle(k, self.theta)
             if v <= 0.0:
                 raise ValueError(f"angle k*theta is an integer at k={k}")
-            if k * 2.0 ** -53 / v > ANGLE_PRECISION_BUDGET:
-                raise ValueError(f"level {i}: theta too near a rational, v_n = "
-                                 f"||{k} theta|| = {v!r} has lost precision")
-            levels.append(ExitLevel(i, int(k), v))
+            levels.append(ExitLevel(i, k, v))
         vs = [lev.v for lev in levels]
         if any(b >= a for a, b in zip(vs, vs[1:])):
             raise ValueError("reduced angles v_n must decrease strictly")

@@ -219,11 +219,7 @@ class SchurmannTriple:
         self.size = len(self.z)
 
     def epsilon(self, word: tuple) -> float:
-        out = 1.0
-        for (i, j, _star) in word:
-            if i != j:
-                return 0.0
-        return out
+        return float(all(i == j for i, j, _ in word))
 
     def eta(self, word: tuple) -> np.ndarray:
         if len(word) == 0:
@@ -308,20 +304,10 @@ def pair_indices(m: int) -> tuple[list[tuple[int, int]], dict]:
     """Flattened enumeration of pairs (i, j), i < j, in block order.
 
     Block i lists (i, j) for j = i+1..m, so block widths are m-1, m-2, ...;
-    the layout coincides with lexicographic order.  A bijection guard
-    verifies the enumeration covers each pair exactly once.
+    the layout coincides with lexicographic order.
     """
-    pairs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            pairs.append((i, j))
-    expected = m * (m - 1) // 2
-    if len(pairs) != expected or len(set(pairs)) != expected:
-        raise RuntimeError("malformed index map")
-    index = {p: k for k, p in enumerate(pairs)}
-    if any(index[p] != k for k, p in enumerate(pairs)):
-        raise RuntimeError("malformed index map")
-    return pairs, index
+    pairs = list(itertools.combinations(range(m), 2))
+    return pairs, {p: k for k, p in enumerate(pairs)}
 
 
 @dataclass(frozen=True)

@@ -27,22 +27,13 @@ UNIT_MODULUS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AlgebraContext:
-    """Deformation parameter theta in (0,1) plus the cached crossing phase."""
+    """Deformation parameter theta in (0,1)."""
 
     theta: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0,1), got {self.theta}")
-        lam = cmath.exp(2j * math.pi * self.theta)
-        if abs(abs(lam) - 1.0) > 1e-14:
-            raise ValueError("crossing phase fell off the unit circle")
-        object.__setattr__(self, "_lambda", lam)
-
-    @property
-    def lam(self) -> complex:
-        """The crossing phase e^{2 pi i theta}."""
-        return self._lambda  # type: ignore[attr-defined]
 
     def phase(self, k: float) -> complex:
         """e^{-2 pi i theta k}, the twisting phase for a crossing count k."""

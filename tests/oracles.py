@@ -15,12 +15,16 @@ Oracles provided:
   interval (closed-form mean a^2 / sigma^2 and survival series),
 * a chunk-by-chunk exit-step sampler with its own survival tests, the
   reference for the exit sampler's shared stepping loop,
-* Taylor coefficients by central differences with one Richardson step.
+* Taylor coefficients by central differences with one Richardson step,
+* the convergent denominators every real rounding to a double theta shares,
+  by a Stern-Brocot descent in exact rationals, and reduced angles on the
+  binary value of theta.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -193,24 +197,39 @@ def taylor_coeff_4(f, h: float = 5e-2) -> float:
 # -- continued fractions -------------------------------------------------------------------
 
 
-def convergent_denominators_oracle(theta: float, count: int) -> list[int]:
-    """Denominators q_1, q_2, ... of the continued fraction of theta.
+def certified_convergents_oracle(theta: float, count: int) -> list[int]:
+    """Convergent denominators q_1, q_2, ... shared by every real that rounds to theta.
 
-    Plain recurrence q_n = a_n q_{n-1} + q_{n-2} with q_{-1} = 0, q_0 = 1; the
-    integer part a_0 is consumed without emitting a denominator.  For the
-    golden angle this yields 1, 2, 3, 5, 8, 13, ...  Stops early if the
-    expansion terminates (rational input).
+    Walks the Stern-Brocot tree toward both ends of theta's half-ulp rounding
+    interval at once, one mediant at a time.  Each turn of the shared path
+    closes a run of moves, i.e. a partial quotient, and the bound that run
+    moved is the convergent whose denominator is emitted.  The walk stops where
+    the two ends part or one of them is the mediant (its expansion ends), so
+    the run in progress there is never emitted.  At most count denominators.
     """
-    x = theta - math.floor(theta)
-    q_mm, q_m = 0, 1
+    half = Fraction(math.ulp(theta)) / 2
+    lo, hi = Fraction(theta) - half, Fraction(theta) + half
+    left, right = (0, 1), (1, 0)  # bounds p/q of the current subtree
+    last_move = None
     out: list[int] = []
     while len(out) < count:
-        if x < 1e-12:
+        mediant = (left[0] + right[0], left[1] + right[1])
+        if lo <= Fraction(*mediant) <= hi:
             break
-        x = 1.0 / x
-        a = math.floor(x)
-        q = a * q_m + q_mm
-        q_mm, q_m = q_m, q
-        out.append(q)
-        x -= a
+        move = "L" if hi < Fraction(*mediant) else "R"
+        if last_move is not None and move != last_move:
+            out.append((right if last_move == "L" else left)[1])
+        last_move = move
+        if move == "L":
+            right = mediant
+        else:
+            left = mediant
     return out
+
+
+def reduced_angle_oracle(k: int, theta: float) -> float:
+    """||k theta|| on theta's binary value n/d: min(kn mod d, d - kn mod d) / d,
+    rounded once."""
+    n, d = theta.as_integer_ratio()
+    r = k * n % d
+    return float(Fraction(min(r, d - r), d))

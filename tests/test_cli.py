@@ -302,15 +302,29 @@ def test_exit_asymptotics_too_few_levels_is_input_error(tmp_path, capsys):
 
 
 def test_exit_asymptotics_near_rational_theta_is_input_error(tmp_path, capsys):
-    # At 10 levels of 1/pi, k_8 2^-53 / v_8 = 6.8e-4 is above the 1e-4
-    # precision budget: rejected before any path is sampled, naming the level.
+    # Every real rounding to the double 0.3 shares only its first partial
+    # quotient, so 4 levels are rejected before any path is sampled; so is
+    # each family asked past the levels its theta determines.
+    for i, (theta, count) in enumerate([(0.3, 4), (1.0 / math.pi, 14), (math.e - 2.0, 20),
+                                        (0.123, 5), (0.5, 4), (0.25, 4), (0.1, 4)]):
+        cfg = tmp_path / f"cfg{i}.ini"
+        cfg.write_text(f"[experiment]\ntheta = {theta!r}\n"
+                       f"[exit]\nconvergent_count = {count}\n")
+        out = tmp_path / f"out{i}"
+        assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "rational theta" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_exit_asymptotics_runs_inverse_pi_at_ten_levels(tmp_path):
+    # The 13 levels 1/pi determines include all 10, computed exactly.
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[experiment]\ntheta = {1.0 / math.pi!r}\n"
                    "[exit]\nconvergent_count = 10\n")
-    out = tmp_path / "out"
-    assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "level 8: theta too near a rational" in capsys.readouterr().err
-    assert not out.exists()
+    assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(tmp_path),
+                "--paths", "2000"]) == 0
+    payload = json.loads((tmp_path / "exit_asymptotics.json").read_text())
+    assert len(payload["engine_agreement"]) == 10
 
 
 def test_exit_asymptotics_analytic_branch(tmp_path):

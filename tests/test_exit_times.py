@@ -30,10 +30,11 @@ from ncqbm.flow import stream_rng
 from ncqbm.lattice import meet_along_path, plateau_set
 
 from oracles import (
-    convergent_denominators_oracle,
+    certified_convergents_oracle,
     exit_steps_chunkwise,
     exit_time_mean_exact,
     exit_time_survival_exact,
+    reduced_angle_oracle,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -50,7 +51,7 @@ def projection_spec(level):
 
 def test_convergents_golden_fibonacci():
     assert convergents(GOLDEN, 6) == [1, 2, 3, 5, 8, 13]
-    assert convergents(GOLDEN, 6) == convergent_denominators_oracle(GOLDEN, 6)
+    assert convergents(GOLDEN, 6) == certified_convergents_oracle(GOLDEN, 6)
 
 
 def test_convergents_sqrt2():
@@ -58,11 +59,44 @@ def test_convergents_sqrt2():
     assert convergents(math.sqrt(2.0) - 1.0, 5) == [2, 5, 12, 29, 70]
 
 
+def test_convergents_short_decimal():
+    # 0.123 = [0; 8, 7, 1, 2, 4 or 5, ...]: its half-ulp interval splits at the fifth.
+    assert convergents(0.123, 4) == [8, 57, 65, 187]
+
+
 def test_convergents_rejects_rational():
     with pytest.raises(ValueError, match="rational theta"):
         convergents(0.5, 3)
     with pytest.raises(ValueError, match="rational theta"):
         convergents(0.25, 1)
+
+
+# Families theta determines (accepted) and ones it does not (rejected): the
+# half-ulp interval of 1/pi shares 13 partial quotients, e - 2 19, sqrt(2) - 1
+# 21, 0.123 4 and 0.3 one.  The double 0.3 alone expands as
+# [0; 3, 2, 1, 900719925474098, 2], which would pass 4 levels.
+CERTIFIED = [(GOLDEN, 20), (math.sqrt(2.0) - 1.0, 10), (math.sqrt(2.0) - 1.0, 20),
+             (math.e - 2.0, 19), (1.0 / math.pi, 6), (1.0 / math.pi, 10),
+             (1.0 / math.pi, 13), (0.123, 4)]
+UNDETERMINED = [(1.0 / math.pi, 14), (math.e - 2.0, 20), (0.123, 5), (0.3, 4),
+                (0.5, 1), (0.25, 1), (0.1, 1)]
+
+
+@pytest.mark.parametrize("theta, count", CERTIFIED)
+def test_family_matches_exact_oracle(theta, count):
+    fam = ExitFamily.from_convergents(theta, count)
+    ks = certified_convergents_oracle(theta, count)
+    assert list(fam.ks) == ks and len(ks) == count
+    assert fam.v == [reduced_angle_oracle(k, theta) for k in ks]
+
+
+@pytest.mark.parametrize("theta, count", UNDETERMINED)
+def test_convergents_reject_undetermined_levels(theta, count):
+    determined = len(certified_convergents_oracle(theta, count))
+    assert determined < count
+    with pytest.raises(ValueError,
+                       match=f"rational theta: .* determines {determined} of the {count} "):
+        convergents(theta, count)
 
 
 def test_convergents_input_validation():
@@ -79,7 +113,7 @@ def test_convergents_input_validation():
 
 def test_golden_family_reduced_angles():
     fam = ExitFamily.golden(6)
-    expected = [reduced_angle(k * GOLDEN) for k in (1, 2, 3, 5, 8, 13)]
+    expected = [reduced_angle(k, GOLDEN) for k in (1, 2, 3, 5, 8, 13)]
     assert fam.v == expected
     assert np.allclose(
         fam.v,
@@ -115,21 +149,6 @@ def test_family_rejects_non_decreasing_angles():
         ExitFamily(GOLDEN, (2, 1))
     with pytest.raises(ValueError, match="decrease strictly"):
         ExitFamily(GOLDEN, (1, 1))
-
-
-@pytest.mark.parametrize("theta, count, bad_level", [
-    (GOLDEN, 20, None), (1.0 / math.pi, 6, None), (1.0 / math.pi, 10, 8),
-    (math.sqrt(2.0) - 1.0, 10, None), (math.sqrt(2.0) - 1.0, 20, 15)])
-def test_family_rejects_angles_lost_to_rounding(theta, count, bad_level):
-    # k_n 2^-53 / v_n bounds the relative error of v_n; above 1e-4 the level
-    # is rejected by name, and v_n itself is computed as before.
-    if bad_level is None:
-        fam = ExitFamily.from_convergents(theta, count)
-        assert fam.v == [reduced_angle(k * theta) for k in convergents(theta, count)]
-        assert max(lev.k * 2.0 ** -53 / lev.v for lev in fam.levels) <= 1e-4
-    else:
-        with pytest.raises(ValueError, match=f"level {bad_level}: theta too near a rational"):
-            ExitFamily.from_convergents(theta, count)
 
 
 # -- exact oracle ------------------------------------------------------------------------

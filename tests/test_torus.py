@@ -70,7 +70,7 @@ def test_defining_relation():
     u = TorusElement.monomial(ctx, 1, 0)
     v = TorusElement.monomial(ctx, 0, 1)
     uv = mul(u, v)
-    lam_vu = mul(v, u).scale(ctx.lam)
+    lam_vu = mul(v, u).scale(cmath.exp(2j * math.pi * ctx.theta))
     assert uv.isclose(lam_vu, tol=1e-15)
 
 
