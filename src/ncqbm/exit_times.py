@@ -48,7 +48,6 @@ chordal radii recovers d = 2, H^2 = 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -83,12 +82,12 @@ def convergents(theta: float, count: int) -> list[int]:
     partial quotient counts only where both ends of that interval give it;
     the levels up to the first quotient where they differ are the ones theta
     determines.  Raises ("rational theta") when it determines fewer than
-    count, and for count outside 1..20.
+    count, and for count < 1.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0,1)")
-    if count < 1 or count > 20:
-        raise ValueError("count must be between 1 and 20")
+    if count < 1:
+        raise ValueError("count must be at least 1")
     half_ulp = Fraction(math.ulp(theta)) / 2
     lo, hi = Fraction(theta) - half_ulp, Fraction(theta) + half_ulp
     q_mm, q_m = 0, 1
@@ -579,41 +578,6 @@ class AsymptoticsReport:
     invariants: Optional[InvariantReport]
     series: SeriesCheck
     fit_error: Optional[str] = None
-
-    def to_csv(self) -> str:
-        lines = ["n,k_n,v_n,gamma_n,stderr"]
-        for level, est in zip(self.family.levels, self.estimates):
-            lines.append(f"{level.index},{level.k},{level.v!r},"
-                         f"{est.gamma!r},{est.stderr!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "theta": self.family.theta,
-            "engine": self.estimates[0].engine if self.estimates else None,
-            "series_check": {
-                "c2": self.series.c2,
-                "c2_reference": self.series.reference_c2,
-                "c2_matches": self.series.c2_matches,
-                "c4": self.series.c4,
-                "c4_reference": self.series.reference_c4,
-            },
-        }
-        if self.fit is not None:
-            payload.update({
-                "slope": self.fit.slope,
-                "n0": self.fit.n0,
-                "c1": self.fit.c1,
-                "c2": self.fit.c2,
-                "c1_stderr": self.fit.c1_stderr,
-                "c2_stderr": self.fit.c2_stderr,
-                "d": self.invariants.d,
-                "d_stderr": self.invariants.d_stderr,
-                "H": self.invariants.h,
-                "H_squared": self.invariants.h_squared,
-                "H_imaginary": self.invariants.h_imaginary,
-            })
-        return json.dumps(payload, sort_keys=True)
 
 
 def run_exit_asymptotics(family: ExitFamily, engine: str = "reduced",

@@ -18,7 +18,6 @@ and fills midpoints with the exact conditional law.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -197,20 +196,6 @@ class McReport:
             if (c.m, c.n) == (m, n):
                 return c
         raise KeyError((m, n))
-
-    def to_json(self) -> str:
-        payload = {
-            "t": self.t,
-            "sigma2": self.sigma2,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "coefficients": [
-                {"m": c.m, "n": c.n, "mean_re": c.mean.real, "mean_im": c.mean.imag,
-                 "stderr_re": c.stderr_re, "stderr_im": c.stderr_im}
-                for c in self.coefficients
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def vacuum_expectation_mc(a: TorusElement, t: float, spec: SemigroupSpec,

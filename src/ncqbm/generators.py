@@ -32,7 +32,6 @@ polynomial, in numpy.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re as _re
 from collections import defaultdict
@@ -68,17 +67,6 @@ class TorusGeneratorReport:
     cross_term_is_real: bool
     gram_eigenvalues: tuple[float, float]
     strict_threshold: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "type": "torus",
-            "gaussian_valid": self.gaussian_valid,
-            "qbm": self.qbm,
-            "cross_term": [self.cross_term.real, self.cross_term.imag],
-            "cross_term_is_real": self.cross_term_is_real,
-            "gram_eigenvalues": list(self.gram_eigenvalues),
-            "strict_threshold": self.strict_threshold,
-        }, sort_keys=True)
 
 
 def check_torus_generator(g: TorusGeneratorSpec) -> TorusGeneratorReport:
@@ -154,18 +142,6 @@ class OThetaGeneratorReport:
     min_singular_value: float
     hermitian_defect: float
     diagonal_defect: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "type": "otheta",
-            "valid": self.valid,
-            "qbm": self.qbm,
-            "biinvariant": self.biinvariant,
-            "min_eigenvalue": self.min_eigenvalue,
-            "min_singular_value": self.min_singular_value,
-            "hermitian_defect": self.hermitian_defect,
-            "diagonal_defect": self.diagonal_defect,
-        }, sort_keys=True)
 
 
 def check_otheta_generator(g: OThetaGeneratorSpec) -> OThetaGeneratorReport:
@@ -378,17 +354,6 @@ class OPlusGeneratorReport:
     min_singular_value: float
     constraint_residual: float
     hermitian_defect: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "type": "oplus",
-            "valid": self.valid,
-            "qbm": self.qbm,
-            "min_eigenvalue": self.min_eigenvalue,
-            "min_singular_value": self.min_singular_value,
-            "constraint_residual": self.constraint_residual,
-            "hermitian_defect": self.hermitian_defect,
-        }, sort_keys=True)
 
 
 def check_oplus_generator(g: OPlusGeneratorSpec) -> OPlusGeneratorReport:
@@ -668,7 +633,7 @@ def convolution_exp(C: CoalgebraMatrix, t: float) -> np.ndarray:
     return E
 
 
-# -- JSON interface --------------------------------------------------------------------------------
+# -- specs from decoded JSON -----------------------------------------------------------------------
 
 
 def _complex_from_json(value) -> complex:
@@ -686,12 +651,8 @@ def _complex_matrix_from_json(value, name: str) -> tuple[tuple[complex, ...], ..
     return tuple(tuple(_complex_from_json(x) for x in row) for row in value)
 
 
-def generator_spec_from_json(text: str):
-    """Parses a generator spec from JSON; malformed input raises ValueError."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON: {exc}") from exc
+def generator_spec_from_data(data):
+    """Builds a generator spec from decoded JSON; malformed data raises ValueError."""
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("generator spec must be an object with a 'type' field")
     kind = data["type"]

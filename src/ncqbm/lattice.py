@@ -20,7 +20,6 @@ both first refine the path until every component's step is below eps/4.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -108,14 +107,6 @@ class IntervalSet:
         x = _frac(x)
         return any(a <= x < b for a, b in self.arcs)
 
-    def indicator(self, n: int) -> np.ndarray:
-        """Half-open indicator samples on the uniform grid j/n."""
-        x = np.arange(n, dtype=float) / n
-        out = np.zeros(n)
-        for a, b in self.arcs:
-            out[(x >= a) & (x < b)] = 1.0
-        return out
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntervalSet) and self.arcs == other.arcs
 
@@ -143,46 +134,8 @@ class MeetReport:
     converged: bool
     band_sups: dict[int, float]
     hermitian_defect: float
-    # Squaring at which the residual first reached tol (None if it never did);
-    # a diagnostic, left out of to_json.
+    # Squaring at which the residual first reached tol (None if it never did).
     first_hit: Optional[int] = None
-
-    def to_json(self) -> str:
-        arcs = threshold_arcs(np.real(self.result.band(0).samples))
-        payload = {
-            "iterations": self.iterations,
-            "residual": self.final_residual,
-            "converged": self.converged,
-            # Arcs read off the band-0 samples at level 1/2.
-            "arcs": [[a, b] for a, b in arcs],
-            "arcs_estimated": True,
-            "band_sups": {str(k): v for k, v in sorted(self.band_sups.items())},
-            "hermitian_defect": self.hermitian_defect,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-def threshold_arcs(samples: np.ndarray, level: float = 0.5) -> list[tuple[float, float]]:
-    """Half-open arcs where samples exceed level, endpoints at grid points."""
-    n = samples.shape[0]
-    mask = samples > level
-    if not mask.any():
-        return []
-    if mask.all():
-        return [(0.0, 1.0)]
-    arcs: list[tuple[float, float]] = []
-    i = 0
-    while i < n:
-        if mask[i]:
-            j = i
-            while j < n and mask[j]:
-                j += 1
-            # A run wrapping past 1 stays as two pieces, matching IntervalSet form.
-            arcs.append((i / n, j / n))
-            i = j
-        else:
-            i += 1
-    return arcs
 
 
 # -- iterative meet -----------------------------------------------------------------------

@@ -3,13 +3,16 @@
 import configparser
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncqbm.cli import ConfigError, ExperimentConfig, load_config, main, render_config
+from ncqbm.cli import (_BUNDLED_SPECS, ConfigError, ExperimentConfig, load_config, main,
+                       render_config)
 from ncqbm.flow import stream_rng
+from ncqbm.generators import check_generator_spec, generator_spec_from_data
 
 
 def run(args):
@@ -105,6 +108,17 @@ def test_verify_projection_passes_and_writes_report(tmp_path):
                         (math.sqrt(5.0) - 1.0) / 2.0, rel_tol=1e-12)
 
 
+def test_verify_projection_grid_floor(tmp_path, capsys):
+    # At the defaults eps = theta/2 and 32/eps = 103.6, the floor meet-demo
+    # applies: 103 is rejected before anything is written, 104 runs.
+    out = tmp_path / "out"
+    assert run(["verify-projection", "--grid", "103", "--out", str(out)]) == 2
+    assert "grid must exceed 32/epsilon = 103.6" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["verify-projection", "--grid", "104", "--out", str(out)]) == 0
+    assert json.loads((out / "projection_report.json").read_text())["grid"] == 104
+
+
 def test_verify_projection_epsilon_out_of_range(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[projection]\nepsilon_factor = 1.5\n")
@@ -161,6 +175,11 @@ def test_semigroup_check_matches_exact_multipliers(tmp_path):
 
 # -- exit-asymptotics ------------------------------------------------------------------------
 
+# exit_asymptotics.json carries the fit keys only when there is a fit.
+_SUMMARY_KEYS = {"theta", "engine", "series_check", "engine_agreement", "warnings"}
+_FIT_KEYS = {"slope", "n0", "c1", "c2", "c1_stderr", "c2_stderr",
+             "d", "d_stderr", "H", "H_squared", "H_imaginary"}
+
 
 def test_exit_asymptotics_csv_json_and_replay(tmp_path):
     args = ["exit-asymptotics", "--paths", "400"]
@@ -177,6 +196,10 @@ def test_exit_asymptotics_csv_json_and_replay(tmp_path):
     assert lines[0] == "n,k_n,v_n,gamma_n,stderr"
     assert len(lines) == 7
     payload = json.loads(json_a)
+    assert set(payload) == _SUMMARY_KEYS | _FIT_KEYS
+    assert payload["engine"] == "reduced"
+    assert set(payload["series_check"]) == {"c2", "c2_reference", "c2_matches",
+                                            "c4", "c4_reference"}
     assert payload["n0"] == 1
     assert len(payload["engine_agreement"]) == 6
     assert "engine_agreement_budget" not in payload
@@ -184,6 +207,7 @@ def test_exit_asymptotics_csv_json_and_replay(tmp_path):
     for row, entry in zip(rows, payload["engine_agreement"]):
         # Both estimators read the exits of one simulation: the rules agree
         # path by path, and the operator falls short by its realized tail.
+        assert set(entry) == {"v", "reduced", "operator", "masks_equal", "gap", "tail"}
         assert entry["reduced"] == float(row[3])
         assert entry["masks_equal"] is True
         assert entry["gap"] == entry["operator"] - entry["reduced"]
@@ -284,7 +308,7 @@ def test_exit_asymptotics_unfittable_estimates_fail_check(tmp_path, monkeypatch)
     payload = json.loads((tmp_path / "exit_asymptotics.json").read_text())
     warnings = payload["warnings"]
     assert warnings[-1].startswith("fit failed: no asymptotic detected")
-    assert "d" not in payload and "c1" not in payload
+    assert set(payload) == _SUMMARY_KEYS
 
 
 def test_exit_asymptotics_too_few_levels_is_input_error(tmp_path, capsys):
@@ -293,12 +317,22 @@ def test_exit_asymptotics_too_few_levels_is_input_error(tmp_path, capsys):
     cfg.write_text("[exit]\nconvergent_count = 3\n")
     out = tmp_path / "out"
     assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "convergent_count must be between 4 and 20" in capsys.readouterr().err
+    assert "convergent_count must be at least 4" in capsys.readouterr().err
     assert not out.exists()
-    assert ExperimentConfig(convergent_count=4).validate().convergent_count == 4
-    for count in (0, 21):
-        with pytest.raises(ConfigError, match="convergent_count"):
-            ExperimentConfig(convergent_count=count).validate()
+    # Above 4 there is no fixed cap: theta decides how many levels exist.
+    for count in (4, 21, 37):
+        assert ExperimentConfig(convergent_count=count).validate().convergent_count == count
+    with pytest.raises(ConfigError, match="convergent_count"):
+        ExperimentConfig(convergent_count=0).validate()
+
+
+def test_exit_asymptotics_runs_golden_past_twenty_levels(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[exit]\nconvergent_count = 21\n")
+    assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(tmp_path),
+                "--paths", "500"]) == 0
+    rows = (tmp_path / "exit_asymptotics.csv").read_text().splitlines()
+    assert len(rows) == 22 and rows[-1].startswith("20,17711,")
 
 
 def test_exit_asymptotics_near_rational_theta_is_input_error(tmp_path, capsys):
@@ -351,6 +385,28 @@ def test_generator_check_bundled_examples(tmp_path):
     assert by_source["otheta-rank-one"]["valid"]
     assert not by_source["otheta-rank-one"]["qbm"]
     assert by_source["oplus-invertible"]["qbm"]
+
+
+def test_generator_check_verdicts_carry_every_report_field(tmp_path):
+    # One rule writes each verdict: the report's non-array fields (all but
+    # the noise form B), complex values as [re, im], plus type and source.
+    assert run(["generator-check", "--out", str(tmp_path)]) == 0
+    verdicts = json.loads((tmp_path / "generator_check.json").read_text())["verdicts"]
+    assert len(verdicts) == len(_BUNDLED_SPECS)
+    for verdict, (name, data) in zip(verdicts, _BUNDLED_SPECS):
+        report = check_generator_spec(generator_spec_from_data(data))
+        kept = {f.name for f in fields(report)
+                if not isinstance(getattr(report, f.name), np.ndarray)}
+        assert kept == {f.name for f in fields(report)} - {"B"}
+        assert set(verdict) == kept | {"type", "source"}
+        assert (verdict["type"], verdict["source"]) == (data["type"], name)
+        for key in kept:
+            value = getattr(report, key)
+            if isinstance(value, complex):
+                value = [value.real, value.imag]
+            elif isinstance(value, tuple):
+                value = list(value)
+            assert verdict[key] == value
 
 
 def test_generator_check_reads_spec_files(tmp_path):

@@ -1,6 +1,5 @@
 """Exit-time engines, continued-fraction family, and asymptotics extraction."""
 
-import json
 import math
 import sys
 from dataclasses import replace
@@ -103,9 +102,12 @@ def test_convergents_input_validation():
     with pytest.raises(ValueError):
         convergents(GOLDEN, 0)
     with pytest.raises(ValueError):
-        convergents(GOLDEN, 21)
-    with pytest.raises(ValueError):
         convergents(1.5, 3)
+    # No fixed level cap: the golden double determines 37 levels, and 38 is
+    # rejected by the certified rule, not by a count limit.
+    assert len(convergents(GOLDEN, 37)) == 37
+    with pytest.raises(ValueError, match="determines 37 of the 38"):
+        convergents(GOLDEN, 38)
 
 
 # -- family geometry --------------------------------------------------------------------
@@ -629,15 +631,6 @@ def test_run_exit_asymptotics_report():
     assert abs(report.fit.slope - 2.0) < 0.1
     assert report.fit.c1 == pytest.approx(1.0 / 32.0, rel=0.15)
     assert abs(report.invariants.d - 5.0) < 0.8
-
-    csv = report.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "n,k_n,v_n,gamma_n,stderr"
-    assert len(lines) == 7
-    assert lines[1].startswith("0,1,")
-    assert lines[6].startswith("5,13,")
-
-    payload = json.loads(report.to_json())
-    assert payload["n0"] == 1
-    assert payload["series_check"]["c2_matches"] is True
-    assert "d" in payload and "H" in payload
+    assert report.fit_error is None and report.series.c2_matches
+    assert [lev.k for lev in report.family.levels] == [1, 2, 3, 5, 8, 13]
+    assert len(report.estimates) == 6

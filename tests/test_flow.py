@@ -205,17 +205,6 @@ def test_mc_reproducible_and_validated():
         vacuum_expectation_mc(a, 0.05, spec, n_paths=50, seed=3)
 
 
-def test_mc_report_json():
-    ctx = AlgebraContext(GOLDEN)
-    a = TorusElement.monomial(ctx, 1, 0)
-    _, report = vacuum_expectation_mc(a, 0.05, SemigroupSpec(1.0),
-                                      n_paths=500, seed=3)
-    import json
-    payload = json.loads(report.to_json())
-    assert payload["n_paths"] == 500
-    assert payload["coefficients"][0]["m"] == 1
-
-
 def test_stream_rng_independent():
     a = stream_rng(1, 0).normal(size=4)
     b = stream_rng(1, 1).normal(size=4)

@@ -1,6 +1,5 @@
 """Generator validation, Schurmann construction, and convolution exponentials."""
 
-import json
 import math
 import tracemalloc
 from collections import Counter
@@ -25,7 +24,7 @@ from ncqbm.generators import (
     convolution_exp,
     epsilon_derivation_dim,
     gaussian_third_order_residual,
-    generator_spec_from_json,
+    generator_spec_from_data,
     oplus_noise_form,
     otheta_noise_form,
     pair_indices,
@@ -644,45 +643,43 @@ def test_convolution_exp_validation():
         CoalgebraMatrix(d=2, Lmat=((0.0,),))
 
 
-# -- JSON interface ----------------------------------------------------------------------------
+# -- specs from decoded JSON -------------------------------------------------------------------
 
 
 def test_json_torus_roundtrip():
-    text = json.dumps({"type": "torus", "l10": -1.0, "l01": -1.0,
-                       "l11": [-2.0, 0.0]})
-    spec = generator_spec_from_json(text)
-    assert isinstance(spec, TorusGeneratorSpec)
+    spec = generator_spec_from_data({"type": "torus", "l10": -1.0, "l01": -1.0,
+                                     "l11": [-2.0, 0.0]})
+    assert spec == TorusGeneratorSpec(-1.0, -1.0, -2.0)
     rep = check_generator_spec(spec)
-    payload = json.loads(rep.to_json())
-    assert payload["gaussian_valid"] is True
-    assert payload["qbm"] is True
+    assert rep.gaussian_valid is True and rep.qbm is True
+    assert rep.cross_term == 0.0 and rep.cross_term_is_real
 
 
 def test_json_otheta_and_oplus():
-    otheta = generator_spec_from_json(json.dumps({
+    otheta = generator_spec_from_data({
         "type": "otheta", "n": 1, "z": [-1.0, [-1.0, 0.0]],
-        "A": [[0.0, 0.0], [0.0, 0.0]]}))
+        "A": [[0.0, 0.0], [0.0, 0.0]]})
     assert isinstance(otheta, OThetaGeneratorSpec)
     assert check_generator_spec(otheta).valid
 
-    oplus = generator_spec_from_json(json.dumps({
+    oplus = generator_spec_from_data({
         "type": "oplus", "n": 1, "L": [[0.0, 1.0], [-1.0, 0.0]],
-        "A": [[3.0]]}))
+        "A": [[3.0]]})
     assert isinstance(oplus, OPlusGeneratorSpec)
     assert check_generator_spec(oplus).qbm
 
 
 def test_json_malformed_inputs():
-    with pytest.raises(ValueError, match="malformed JSON"):
-        generator_spec_from_json("{not json")
+    # Undecodable text is the CLI's to reject (test_cli's malformed JSON test).
     with pytest.raises(ValueError, match="type"):
-        generator_spec_from_json(json.dumps({"l10": -1.0}))
+        generator_spec_from_data([1, 2])
+    with pytest.raises(ValueError, match="type"):
+        generator_spec_from_data({"l10": -1.0})
     with pytest.raises(ValueError, match="unknown generator type"):
-        generator_spec_from_json(json.dumps({"type": "heisenberg"}))
+        generator_spec_from_data({"type": "heisenberg"})
     with pytest.raises(ValueError, match="malformed generator spec"):
-        generator_spec_from_json(json.dumps({"type": "torus", "l10": -1.0}))
+        generator_spec_from_data({"type": "torus", "l10": -1.0})
     with pytest.raises(ValueError, match="complex"):
-        generator_spec_from_json(json.dumps(
-            {"type": "torus", "l10": "x", "l01": -1.0, "l11": 0.0}))
+        generator_spec_from_data({"type": "torus", "l10": "x", "l01": -1.0, "l11": 0.0})
     with pytest.raises(TypeError):
         check_generator_spec("not a spec")

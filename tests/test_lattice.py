@@ -1,6 +1,5 @@
 """Interval sets and projection meets: closed form vs iteration."""
 
-import json
 import math
 import warnings
 
@@ -17,7 +16,7 @@ from ncqbm.flow import sample_path, stream_rng
 from ncqbm.lattice import (DegenerateMeet, IntervalSet,
                            compare_iterative_to_closed_form, meet_along_path,
                            meet_along_path_operator, meet_closed_form,
-                           meet_pair_iterative, plateau_set, threshold_arcs)
+                           meet_pair_iterative, plateau_set)
 from ncqbm.torus import AlgebraContext
 
 from oracles import matrix_meet
@@ -61,18 +60,6 @@ def test_interval_translate_properties(arc_data, shift_k, probe_k):
     assert moved.measure() == pytest.approx(s.measure(), abs=1e-12)
     # Membership commutes with translation mod 1.
     assert moved.contains(probe + shift) == s.contains(probe)
-
-
-def test_indicator_half_open():
-    s = IntervalSet([(0.25, 0.5)])
-    ind = s.indicator(8)
-    assert list(ind) == [0, 0, 1, 1, 0, 0, 0, 0]
-
-
-def test_threshold_arcs_roundtrip():
-    s = IntervalSet([(0.25, 0.5), (0.75, 0.875)])
-    arcs = threshold_arcs(s.indicator(64))
-    assert IntervalSet(arcs) == s
 
 
 # -- closed form --------------------------------------------------------------------
@@ -567,17 +554,17 @@ def test_meet_hypotheses_are_checked_before_any_squaring(monkeypatch):
     assert calls == [1]
 
 
-def test_meet_report_json():
+def test_meet_report_fields():
     spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    n = 512
     diff, report, arcs = compare_iterative_to_closed_form(
-        spec, 0.3, 0.1, 0.3, 0.7, n=512)
-    payload = json.loads(report.to_json())
-    assert set(payload) >= {"iterations", "residual", "converged", "arcs"}
-    # first_hit is a diagnostic: the JSON bytes do not carry it.
-    assert report.first_hit is not None and "first_hit" not in payload
-    got = IntervalSet([tuple(p) for p in payload["arcs"]])
-    assert all(abs(x[0] - y[0]) < 2e-3 and abs(x[1] - y[1]) < 2e-3
-               for x, y in zip(got.arcs, arcs.arcs))
+        spec, 0.3, 0.1, 0.3, 0.7, n=n)
+    assert report.converged and report.final_residual <= 1e-10
+    assert report.first_hit is not None and report.first_hit <= report.iterations
+    assert report.hermitian_defect < 1e-10 and 0 in report.band_sups
+    # Band 0 read at level 1/2 is the closed-form arc set, sample by sample.
+    above = np.real(report.result.band(0).samples) > 0.5
+    assert list(above) == [arcs.contains(j / n) for j in range(n)]
 
 
 # -- path meets ------------------------------------------------------------------------
