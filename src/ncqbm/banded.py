@@ -246,10 +246,6 @@ class CircleFunction:
             return complex(self.exact.integral())
         return complex(np.mean(self.samples))
 
-    def conjugate(self) -> "CircleFunction":
-        exact = self.exact.conjugated() if self.exact is not None else None
-        return CircleFunction(np.conj(self.samples), exact)
-
 
 # -- banded elements ---------------------------------------------------------------------
 

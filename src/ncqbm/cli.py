@@ -353,20 +353,22 @@ def cmd_semigroup_check(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
+def _series_payload(series) -> dict:
+    return {"c2": series.c2, "c2_reference": series.reference_c2,
+            "c2_matches": series.c2_matches, "c4": series.c4,
+            "c4_reference": series.reference_c4}
+
+
 def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
     if cfg.analytic:
         # Reference-constants branch: analytic quadratic/quartic coefficients
         # instead of Monte Carlo estimates.
         c1, c2 = 2.0 ** -5, 2.0 ** -11 / 3.0
         inv = extract_invariants(1, c1, c2)
-        series = paper_series_check()
         payload = {
-            "analytic": True,
-            "n0": inv.n0, "c1": inv.c1, "c2": inv.c2,
+            "analytic": True, "n0": inv.n0, "c1": inv.c1, "c2": inv.c2,
             "d": inv.d, "H": inv.h, "H_squared": inv.h_squared,
-            "series_check": {"c2": series.c2, "c2_matches": series.c2_matches,
-                             "c4": series.c4,
-                             "c4_reference": series.reference_c4},
+            "series_check": _series_payload(paper_series_check()),
         }
         path = _write_text(cfg.out, "exit_asymptotics.json",
                            json.dumps(payload, sort_keys=True) + "\n")
@@ -376,7 +378,7 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
     family = ExitFamily.from_convergents(cfg.theta, cfg.convergent_count)
     report = run_exit_asymptotics(family, n_paths=cfg.exit_paths, seed=cfg.seed,
                                   sigma2=cfg.exit_sigma2)
-    fit, inv, series = report.fit, report.invariants, report.series
+    fit, inv = report.fit, report.invariants
     # Each level was sampled once under both survival rules; the run fails
     # unless the rules gave equal exit steps on every path.
     warnings = []
@@ -399,9 +401,7 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
     summary = {
         "theta": family.theta,
         "engine": report.estimates[0].engine,
-        "series_check": {"c2": series.c2, "c2_reference": series.reference_c2,
-                         "c2_matches": series.c2_matches, "c4": series.c4,
-                         "c4_reference": series.reference_c4},
+        "series_check": _series_payload(report.series),
         "engine_agreement": agreement,
         "warnings": warnings,
     }

@@ -232,6 +232,8 @@ def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2:
     step_scale = math.sqrt(sigma2 * dt)
     kill_rate = 2.0 / (step_scale * step_scale)
     out_red, out_op = np.zeros((2, n_paths), dtype=np.int64)
+    # Each step's normals and uniforms, a run per chunk in chunk order.
+    z_buf, u_buf = np.empty((2, min(2 * ENGINE_CHUNK, n_paths)))
     # (end, join step, stream, live paths) of each chunk in the loop, in chunk
     # order; idx stays sorted, so a chunk's live paths are one run of it.
     active: list[tuple] = []
@@ -250,8 +252,12 @@ def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2:
         step += 1
         if step - active[0][1] > MAX_MEAN_EXITS * steps:
             raise StepCapExceeded("exit-time simulation exceeded the step cap")
-        draws = [(rng.normal(size=n), rng.random(size=n)) for _, _, rng, n in active]
-        z, u = draws[0] if len(draws) == 1 else map(np.concatenate, zip(*draws))
+        at = 0
+        for _, _, rng, n in active:
+            rng.standard_normal(out=z_buf[at:at + n])
+            rng.random(out=u_buf[at:at + n])
+            at += n
+        z, u = z_buf[:at], u_buf[:at]
         w_next = w + z * step_scale
         p_hi = np.exp(-kill_rate * (hi - w) * (hi - w_next))
         p_lo = np.exp(-kill_rate * (w - lo) * (w_next - lo))
@@ -292,6 +298,16 @@ class GammaEstimate:
     survival: Optional["SurvivalComparison"] = None
 
 
+def _quantile_floor(values: np.ndarray, q: float) -> int:
+    """int(np.quantile(values, q)) of an integer array: numpy's linear rule, in
+    its float operations, on the two order statistics around h = (n - 1) q."""
+    h = (values.size - 1) * q
+    i, j = (min(k, values.size - 1) for k in (math.floor(h), math.floor(h) + 1))
+    lo, hi = map(int, np.partition(values, (i, j))[[i, j]])
+    t = h - i
+    return int(hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t)
+
+
 def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: float,
                       sigma2: float, seed: int, truncation: float) -> GammaEstimate:
     """Mean exit time estimate from the exit steps of one level's paths.
@@ -311,8 +327,7 @@ def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: floa
         # mean(min(e, J)) * dt, and the trapezoid correction subtracts the
         # half-cells at both ends.  The reduced estimate of the same exits
         # exceeds this one by exactly the tail.
-        horizon = int(np.quantile(exits, 1.0 - truncation)) if truncation > 0 else int(exits.max())
-        horizon = max(horizon, 1)
+        horizon = max(_quantile_floor(exits, 1.0 - truncation), 1)
         capped = np.minimum(exits, horizon)
         s_end = float(np.mean(exits > horizon))
         rect = float(np.mean(capped)) * dt
@@ -391,8 +406,6 @@ class AsymptoticsFit:
     n0: int
     c1: float
     c2: float
-    slope_residual: float
-    pairs: list[tuple[float, float, float]]
     # Weighted-least-squares standard errors of c1 and c2; None unless every
     # pair carries a positive stderr.
     c1_stderr: Optional[float]
@@ -412,13 +425,14 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
     Weighted least squares uses 1/stderr^2 when standard errors are provided
     (zero or missing stderr falls back to unit weight); when all are given,
     the coefficient covariance (X^T W X)^{-1} yields the stderrs of c1 and c2.
+    The two-column system is solved by one Gram-Schmidt QR of the weighted
+    design, in elementwise arithmetic (no BLAS or LAPACK call): the
+    coefficients are R^{-1} Q^T b, and (X^T W X)^{-1} = R^{-1} R^{-T}.
     """
     pairs = [(float(v), float(g), float(s) if s else 0.0) for v, g, s in pairs]
     if len(pairs) < 4:
         raise ValueError("need at least 4 (v, gamma, stderr) pairs")
-    vs = np.array([p[0] for p in pairs])
-    gs = np.array([p[1] for p in pairs])
-    ss = np.array([p[2] for p in pairs])
+    vs, gs, ss = np.array(pairs).T
     if vs.min() <= 0.0 or gs.min() <= 0.0:
         raise ValueError("v and gamma must be positive")
     if vs.max() / vs.min() < 10.0 * (1.0 - 1e-9):
@@ -426,29 +440,30 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
     # Log-log slope, weights by delta method (gamma/stderr)^2.
     x = np.log(vs)
     y = np.log(gs)
-    w = np.ones(len(vs))
     has_err = ss > 0.0
-    w[has_err] = (gs[has_err] / ss[has_err]) ** 2
+    sd = np.where(has_err, ss, 1.0)  # unit weight without a stderr
+    w = np.where(has_err, (gs / sd) ** 2, 1.0)
     xbar = np.average(x, weights=w)
     ybar = np.average(y, weights=w)
     slope = float(np.sum(w * (x - xbar) * (y - ybar)) / np.sum(w * (x - xbar) ** 2))
     n0 = min(range(1, 7), key=lambda n: abs(slope - 2.0 / n))
-    residual = abs(slope - 2.0 / n0)
-    if residual > 0.25:
+    if abs(slope - 2.0 / n0) > 0.25:
         raise NoAsymptoticDetected(
             f"no asymptotic detected: slope {slope:.3f} is not near 2/n0")
-    design = np.column_stack([vs ** (2.0 / n0), vs ** (4.0 / n0)])
-    wls = np.ones(len(vs))
-    wls[has_err] = 1.0 / ss[has_err] ** 2
-    sw = np.sqrt(wls)
-    weighted = design * sw[:, None]
-    coef, *_ = np.linalg.lstsq(weighted, gs * sw, rcond=None)
+    # Modified Gram-Schmidt on the weighted columns [a1 a2 | b].
+    a1, a2, b = (col / sd for col in (vs ** (2.0 / n0), vs ** (4.0 / n0), gs))
+    r11 = math.sqrt(np.sum(a1 * a1))
+    q1 = a1 / r11
+    r12, b1 = float(np.sum(q1 * a2)), float(np.sum(q1 * b))
+    a2 = a2 - r12 * q1
+    r22 = math.sqrt(np.sum(a2 * a2))
+    c2 = float(np.sum(a2 / r22 * (b - b1 * q1))) / r22
+    c1 = (b1 - r12 * c2) / r11
     c1_stderr = c2_stderr = None
     if has_err.all():
-        cov = np.linalg.inv(weighted.T @ weighted)
-        c1_stderr, c2_stderr = (float(math.sqrt(cov[i, i])) for i in (0, 1))
-    return AsymptoticsFit(slope=slope, n0=n0, c1=float(coef[0]), c2=float(coef[1]),
-                          slope_residual=residual, pairs=pairs, c1_stderr=c1_stderr,
+        # The row norms of R^{-1} = [[1/r11, -r12/(r11 r22)], [0, 1/r22]].
+        c1_stderr, c2_stderr = math.hypot(1.0, r12 / r22) / r11, 1.0 / r22
+    return AsymptoticsFit(slope=slope, n0=n0, c1=c1, c2=c2, c1_stderr=c1_stderr,
                           c2_stderr=c2_stderr)
 
 

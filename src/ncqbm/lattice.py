@@ -28,7 +28,7 @@ import numpy as np
 
 from .banded import (BAND_DROP_TOL, BandedElement, CircleFunction, RieffelProjectionSpec,
                      _frac, _shift_stencil, banded_mul, build_rieffel_projection,
-                     indicator_banded, star_banded, supdiff, translate_action)
+                     indicator_banded, supdiff, translate_action)
 
 
 def _circle_dist(a: float, b: float) -> float:
@@ -132,8 +132,6 @@ class MeetReport:
     iterations: int
     final_residual: float
     converged: bool
-    band_sups: dict[int, float]
-    hermitian_defect: float
     # Squaring at which the residual first reached tol (None if it never did).
     first_hit: Optional[int] = None
 
@@ -180,8 +178,8 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
     whose residual reaches tol, the forced squarings before the last can
     stop nothing but a divergence, so they run as bare band-0 multiplies
     checked once (_bare_squarings); this is tried once.  The last goes
-    through the checked loop: every output is that of squaring step by step
-    with banded_mul.
+    through the checked loop: every output equals in value that of squaring
+    step by step with banded_mul.
     """
     first = banded_mul(p, q)
     theta = first.context.theta
@@ -221,13 +219,9 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
                 bands, sups, iterations = {0: tail[0]}, {0: tail[1]}, last
         if residual <= tol and iterations >= min_iter:
             break
-    r = BandedElement(first.context, {k: CircleFunction(v) for k, v in bands.items()},
-                      first.n)
-    herm = supdiff(star_banded(r), r)
+    r = BandedElement(first.context, {k: CircleFunction(v) for k, v in bands.items()}, first.n)
     return MeetReport(result=r, iterations=iterations, final_residual=residual,
-                      converged=not diverged and residual <= tol,
-                      band_sups=r.band_sups(), hermitian_defect=herm,
-                      first_hit=first_hit)
+                      converged=not diverged and residual <= tol, first_hit=first_hit)
 
 
 def _product_plan(bands: dict[int, np.ndarray],
@@ -270,45 +264,38 @@ _Product = tuple[int, int, Optional[tuple[np.ndarray, ...]]]
 
 
 def _program(keys: tuple[int, ...], plan: Optional[frozenset[tuple[int, int]]],
-             theta: float, n: int) -> list[tuple[int, list[_Product], list[_Product]]]:
+             theta: float, n: int) -> list[tuple[int, list[_Product]]]:
     """The squaring program of an element with bands `keys` (in their order)
-    on an n-point grid: for each output key in first-touch order, the band
-    products the plan keeps, in k-then-j order, and the products it leaves
-    out, which the signed-zero fix-up of _square needs.  Keys with no kept
-    product are left out.  With no plan every product is kept.
+    on an n-point grid: for each output key in banded_mul's first-touch
+    order, the band products the plan keeps, in k-then-j order.  Keys with no
+    kept product are left out.  With no plan every product is kept.
     """
     stencils = {k: _shift_stencil(n, k * theta) if k != 0 else None for k in keys}
-    terms: dict[int, tuple[list[_Product], list[_Product]]] = {}
+    terms: dict[int, list[_Product]] = {}
     for k in keys:
         for j in keys:
-            kept, left_out = terms.setdefault(k + j, ([], []))
-            (kept if plan is None or (k, j) in plan else left_out).append((k, j, stencils[k]))
-    return [(key, kept, left_out) for key, (kept, left_out) in terms.items() if kept]
+            products = terms.setdefault(k + j, [])
+            if plan is None or (k, j) in plan:
+                products.append((k, j, stencils[k]))
+    return [(key, products) for key, products in terms.items() if products]
 
 
-def _square(bands: dict[int, np.ndarray],
-            program: list[tuple[int, list[_Product], list[_Product]]]
+def _square(bands: dict[int, np.ndarray], program: list[tuple[int, list[_Product]]]
             ) -> tuple[dict[int, np.ndarray], dict[int, float]]:
     """One squaring of r, given as its band samples, by the program of its
     keys: the bands and sups of r r.
 
-    Bit for bit banded_mul(r, r) under the BandedElement drop rule: keys in
-    first-touch order, each summed in k-then-j order.  A pair the plan
-    leaves out is a signed zero, and adding it changes a component of the
-    sum only from -0.0 to +0.0; those components are found and the left-out
-    pairs added there alone.
+    Equal in value to banded_mul(r, r) under the BandedElement drop rule:
+    keys in first-touch order, each summed in k-then-j order.  A pair the
+    plan leaves out is a signed zero, so leaving it out can change a
+    component only from +0.0 to -0.0, which compares equal.
     """
     out: dict[int, np.ndarray] = {}
     out_sups: dict[int, float] = {}
-    for key, kept, left_out in program:
-        v = _band_product(bands, *kept[0])
-        for product in kept[1:]:
+    for key, products in program:
+        v = _band_product(bands, *products[0])
+        for product in products[1:]:
             v += _band_product(bands, *product)
-        if left_out:
-            at = np.flatnonzero(v.view(np.uint64) == 1 << 63) // 2  # -0.0 parts
-            if at.size:
-                for product in left_out:
-                    v[at] += _band_product(bands, *product, at)
         sup = float(np.abs(v).max())
         # Non-finite bands are kept, as BandedElement keeps them.
         if sup > BAND_DROP_TOL or not math.isfinite(sup):
@@ -318,13 +305,13 @@ def _square(bands: dict[int, np.ndarray],
 
 
 def _band_product(bands: dict[int, np.ndarray], k: int, j: int,
-                  stencil: Optional[tuple[np.ndarray, ...]], at=slice(None)) -> np.ndarray:
-    """f_k(x) f_j(x - k theta) at the grid points `at`, as banded_mul takes it."""
+                  stencil: Optional[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """f_k(x) f_j(x - k theta) on the grid, as banded_mul takes it."""
     f, g = bands[k], bands[j]
     if stencil is None:
-        return f[at] * g[at]
+        return f * g
     i0, i1, w0, w1 = stencil
-    return f[at] * (g[i0[at]] * w0[at] + g[i1[at]] * w1[at])
+    return f * (g[i0] * w0 + g[i1] * w1)
 
 
 def _residual_floor(sups2: dict[int, float], sups: dict[int, float],
@@ -503,6 +490,8 @@ def _stride_factors(w: list[float], quantum: float, stride: float) -> list[int]:
     the sample furthest beyond that edge since the side last folded.  It is
     folded when a later sample lies `stride` or more beyond the edge, and at
     the end of the path unless it extends the range by `quantum` or less.
+    While every step is below `stride`, each factor after the first extends
+    the folded range by some e with quantum < e < stride.
     """
     lo = hi = w[0]
     factors: list[int] = []
@@ -550,9 +539,9 @@ def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
 
     After it, each run of extensions is folded once (_stride_factors): a
     side's pending extreme is met only when a later sample lies at least the
-    stride eps/2 beyond that edge, or at the end of the path, where a
+    stride eps beyond that edge, or at the end of the path, where a
     pending extension of q or less is skipped.  Steps are below eps/4, so
-    every later factor extends the folded range by some e with q < e < eps/2
+    every later factor extends the folded range by some e with q < e < eps
     (for q < eps/4).  This is sound: once the first factor is met, the
     running meet is a diagonal indicator chi_S(U) of an arc S inside the
     plateau, and a translate P_w with extension e < eps puts only its upper
@@ -573,7 +562,7 @@ def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
     values, levels_used, _ = _refine_path(path, eps, levels)
     if values.ndim != 2 or values.shape[1] != 2:
         raise ValueError("operator path meet needs a 2-component path")
-    factors = _stride_factors(values[:, 0].tolist(), max(eps / 16.0, 8.0 / n), eps / 2.0)
+    factors = _stride_factors(values[:, 0].tolist(), max(eps / 16.0, 8.0 / n), eps)
     p = build_rieffel_projection(spec, n)
     r = translate_action(p, float(values[0, 0]), float(values[0, 1]))
     n_factors = 1

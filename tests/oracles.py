@@ -16,6 +16,8 @@ Oracles provided:
 * a chunk-by-chunk exit-step sampler with its own survival tests, the
   reference for the exit sampler's shared stepping loop,
 * Taylor coefficients by central differences with one Richardson step,
+* the weighted two-coefficient power-law fit by numpy's SVD least squares
+  and the inverse of the normal matrix,
 * the convergent denominators every real rounding to a double theta shares,
   by a Stern-Brocot descent in exact rationals, and reduced angles on the
   binary value of theta.
@@ -192,6 +194,22 @@ def taylor_coeff_4(f, h: float = 5e-2) -> float:
 
     fine, coarse = d4(h / 2), d4(h)
     return (4.0 * fine - coarse) / 3.0 / math.factorial(4)
+
+
+# -- weighted least squares ----------------------------------------------------------------
+
+
+def weighted_power_fit(pairs, n0: int):
+    """(c1, c2) of gamma ~ c1 v^{2/n0} + c2 v^{4/n0} over (v, gamma, stderr)
+    pairs, weighted by 1/stderr^2 (unit weight for a zero stderr), by
+    np.linalg.lstsq; with their stderrs sqrt(diag(inv(X^T W X))) when every
+    stderr is positive, else None."""
+    v, g, s = (np.array(col, dtype=float) for col in zip(*pairs))
+    sw = 1.0 / np.where(s > 0.0, s, 1.0)
+    x = np.column_stack([v ** (2.0 / n0), v ** (4.0 / n0)]) * sw[:, None]
+    coef = np.linalg.lstsq(x, g * sw, rcond=None)[0]
+    errs = np.sqrt(np.diag(np.linalg.inv(x.T @ x))) if (s > 0.0).all() else None
+    return coef, errs
 
 
 # -- continued fractions -------------------------------------------------------------------

@@ -3,6 +3,9 @@
 import configparser
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -369,6 +372,36 @@ def test_exit_asymptotics_analytic_branch(tmp_path):
     payload = json.loads((tmp_path / "exit_asymptotics.json").read_text())
     assert payload["analytic"] and payload["d"] == 5.0
     assert abs(payload["H"] - 1.0 / (2.0 * math.sqrt(2.0))) < 1e-14
+    # One series_check layout for both branches.
+    sampled = tmp_path / "sampled"
+    assert run(["exit-asymptotics", "--paths", "2000", "--out", str(sampled)]) in (0, 1)
+    layout = json.loads((sampled / "exit_asymptotics.json").read_text())["series_check"]
+    assert payload["series_check"] == layout
+    assert set(layout) == {"c2", "c2_reference", "c2_matches", "c4", "c4_reference"}
+
+
+def test_exit_asymptotics_runs_without_numpy_linalg(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("lstsq", "inv", "solve", "qr", "svd", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert run(["exit-asymptotics", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "exit_asymptotics.json").read_text())["c1_stderr"] > 0.0
+
+
+def test_exit_asymptotics_does_not_load_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma on first use; the sweep takes its horizon
+    # from two order statistics instead.
+    import ncqbm
+
+    code = ("import sys; from ncqbm.cli import main; "
+            "code = main(['exit-asymptotics', '--out', sys.argv[1]]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(ncqbm.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
 
 
 # -- generator-check -------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from oracles import (
     exit_time_mean_exact,
     exit_time_survival_exact,
     reduced_angle_oracle,
+    weighted_power_fit,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -566,6 +567,52 @@ def test_fit_c2_unresolved_on_noisy_data():
     assert fit.c2_stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-9)
     assert abs(fit.c2) < 2.0 * fit.c2_stderr
     assert not fit.c2_resolved
+
+
+def _fit_cases():
+    """(v, gamma, stderr) pairs of the golden sweep, the circle benchmark and
+    random noisy power laws, some with a zero stderr."""
+    sweep = run_exit_asymptotics(ExitFamily.golden(6), n_paths=10_000, seed=0)
+    yield [(e.v, e.gamma, e.stderr) for e in sweep.estimates]
+    circle = classical_circle_benchmark()
+    yield [(e, m, 0.0) for e, m in zip(circle.eps, circle.means)]
+    rng = np.random.default_rng(22)
+    for n0 in (1, 1, 2, 3):
+        vs = np.geomspace(rng.uniform(1e-3, 0.02), rng.uniform(0.2, 0.5), rng.integers(4, 11))
+        exact = vs ** (2.0 / n0) / 32.0 + rng.uniform(-1.0, 1.0) * vs ** (4.0 / n0) / 64.0
+        stderr = rng.uniform(0.002, 0.02, vs.size) * exact
+        if n0 == 2:
+            stderr[rng.integers(vs.size)] = 0.0
+        yield list(zip(vs, exact + stderr * rng.normal(size=vs.size), stderr))
+
+
+def test_fit_matches_lstsq_and_the_inverse_normal_matrix():
+    # The Gram-Schmidt fit against np.linalg.lstsq and inv(X^T W X).
+    for pairs in _fit_cases():
+        fit = fit_asymptotics(pairs)
+        coef, errs = weighted_power_fit(pairs, fit.n0)
+        assert [fit.c1, fit.c2] == pytest.approx(coef, rel=1e-12, abs=0.0)
+        if errs is None:
+            assert fit.c1_stderr is None and fit.c2_stderr is None
+        else:
+            assert [fit.c1_stderr, fit.c2_stderr] == pytest.approx(errs, rel=1e-12, abs=0.0)
+
+
+# -- the truncation horizon -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [1.0 - exit_times.SURVIVAL_TRUNCATION, 0.5, 0.0, 1.0])
+def test_quantile_floor_matches_numpy(q):
+    # Integer arrays with many ties (few distinct values), at n = 1, 2 and
+    # 10^4 and at every small n, and the exit steps of one sampled level.
+    rng = np.random.default_rng(7)
+    arrays = [rng.integers(0, high, size=n) for n in (1, 2, 3, 10_000, *range(4, 200))
+              for high in (1, 3, 40, 10 ** 6)]
+    arrays.append(_exit_steps(ExitFamily.golden(6), 2, 10_000, 0, 2.0)[1])
+    for values in arrays:
+        kept = values.copy()
+        assert exit_times._quantile_floor(values, q) == int(np.quantile(values, q)), values
+        assert np.array_equal(values, kept)
 
 
 # -- invariant extraction -------------------------------------------------------------------------
