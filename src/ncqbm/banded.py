@@ -406,7 +406,6 @@ class MembershipReport:
     member: bool
     far_band_sup: float
     pairing_residual: float
-    hermitian_band0_residual: float
 
 
 def member_of_X(a: BandedElement, tol: float = 1e-10) -> MembershipReport:
@@ -426,7 +425,7 @@ def member_of_X(a: BandedElement, tol: float = 1e-10) -> MembershipReport:
     f1_shift = a.band(1).eval_at(x + theta)
     pairing = float(np.max(np.abs(a.band(-1).samples - np.conj(f1_shift))))
     ok = far <= tol and pairing <= tol and herm0 <= tol
-    return MembershipReport(ok, far, pairing, herm0)
+    return MembershipReport(ok, far, pairing)
 
 
 # -- trapezoid projection -------------------------------------------------------------------

@@ -521,27 +521,22 @@ class SeriesCheck:
 def paper_series_check() -> SeriesCheck:
     """Taylor coefficients of g(v) = 2 sin^2(v/8) + (2/3) sin^4(v/8).
 
-    The v^2 coefficient must equal 1/32 (asserted by callers to 1e-8).  The
-    v^4 coefficient is computed and reported next to the reference value
+    The coefficients are exact: sin(v/8) to degree 4 is squared in Fraction
+    arithmetic.  The v^2 coefficient must equal 1/32 (asserted by callers to
+    1e-8).  The v^4 coefficient is reported next to the reference value
     1/6144 without being asserted: the two quartic contributions of g cancel
-    exactly, so the computed value is ~0 and the discrepancy is deliberate
+    exactly, so the computed value is 0 and the discrepancy is deliberate
     to surface.
     """
+    # sin(v/8) = sum over odd k of (-1)^((k-1)/2) v^k / (k! 8^k)
+    s = [Fraction(k % 2 * (-1) ** (k // 2), math.factorial(k) * 8 ** k) for k in range(5)]
 
-    def g(v: float) -> float:
-        s = math.sin(v / 8.0)
-        return 2.0 * s * s + (2.0 / 3.0) * s ** 4
+    def mul(p: list, q: list) -> list:
+        return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(5)]
 
-    def second(h: float) -> float:
-        return (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
-
-    def fourth(h: float) -> float:
-        return (g(2 * h) - 4 * g(h) + 6 * g(0.0) - 4 * g(-h) + g(-2 * h)) / h ** 4
-
-    h2 = 1e-2
-    c2 = (4.0 * second(h2 / 2) - second(h2)) / 3.0 / 2.0
-    h4 = 5e-2
-    c4 = (4.0 * fourth(h4 / 2) - fourth(h4)) / 3.0 / 24.0
+    s2 = mul(s, s)
+    g = [2 * a + Fraction(2, 3) * b for a, b in zip(s2, mul(s2, s2))]
+    c2, c4 = float(g[2]), float(g[4])
     ref2, ref4 = 1.0 / 32.0, 1.0 / 6144.0
     return SeriesCheck(
         c2=c2, c4=c4, reference_c2=ref2, reference_c4=ref4,

@@ -19,14 +19,15 @@ identities on low-degree words, and convolution exponentials on matrix
 coalgebras reduce to matrix exponentials.
 
 Solution-space dimensions are ranks of sparse relation rows ({column:
-value} maps).  The rows are never made dense at full width: columns that
-share a row are joined into blocks, and the rank is the sum of the blocks'
-dense ranks at the absolute tolerance RANK_TOL.  A matrix that is
-block-diagonal up to a permutation has its blocks' singular values, so this
-is the rank of the full matrix at the same tolerance.  Blocks of one shape
-share one stacked SVD, which gives each matrix its own singular values.
-Matrix exponentials use scaling and squaring with a degree-18 Taylor
-polynomial, in numpy.
+value} maps).  Each system yields its rows one at a time and the rank
+reads them once, keeping only their nonzero entries.  The rows are never
+made dense at full width: columns that share a row are joined into blocks,
+and the rank is the sum of the blocks' dense ranks at the absolute
+tolerance RANK_TOL.  A matrix that is block-diagonal up to a permutation
+has its blocks' singular values, so this is the rank of the full matrix at
+the same tolerance.  Blocks of one shape share one stacked SVD, which gives
+each matrix its own singular values.  Matrix exponentials use scaling and
+squaring with a degree-18 Taylor polynomial, in numpy.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import re as _re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -390,7 +391,6 @@ class BiinvariantSolution:
     n: int
     dimension: int
     n_unknowns: int
-    n_constraints: int
     rank: int
     include_biinvariance: bool
 
@@ -419,23 +419,21 @@ def solve_biinvariant_oplus(n: int, include_biinvariance: bool = True) -> Biinva
     def a_col(p, q):
         return n_l + p * npairs + q
 
-    rows = []
-    for (i, j) in pairs:
-        entries = [(l_col(i, j), 1.0), (l_col(j, i), 1.0)]
-        entries += [(a_col(index[p], index[q]), -sign)
-                    for sign, p, q in _oplus_contractions(m, i, j)]
-        rows.append(_row(*entries))
-    for i in range(m):
-        diag = [index[(min(i, k), max(i, k))] for k in range(m) if k != i]
-        rows.append(_row((l_col(i, i), 2.0), *[(a_col(p, p), 1.0) for p in diag]))
-    if include_biinvariance:
-        rows += [_row((l_col(i, j), 1.0)) for i in range(m) for j in range(m) if i != j]
-        rows += [_row((a_col(p, q), 1.0)) for p in range(npairs) for q in range(npairs)]
+    def rows():
+        for (i, j) in pairs:
+            yield _row((l_col(i, j), 1.0), (l_col(j, i), 1.0),
+                       *[(a_col(index[p], index[q]), -sign)
+                         for sign, p, q in _oplus_contractions(m, i, j)])
+        for i in range(m):
+            diag = [index[(min(i, k), max(i, k))] for k in range(m) if k != i]
+            yield _row((l_col(i, i), 2.0), *[(a_col(p, p), 1.0) for p in diag])
+        if include_biinvariance:
+            yield from ({l_col(i, j): 1.0} for i in range(m) for j in range(m) if i != j)
+            yield from ({a_col(p, q): 1.0} for p in range(npairs) for q in range(npairs))
 
-    rank = _rank(rows, n_unknowns)
+    rank = _rank(rows(), n_unknowns)
     return BiinvariantSolution(n=n, dimension=n_unknowns - rank,
-                               n_unknowns=n_unknowns,
-                               n_constraints=len(rows), rank=rank,
+                               n_unknowns=n_unknowns, rank=rank,
                                include_biinvariance=include_biinvariance)
 
 
@@ -444,18 +442,20 @@ def solve_biinvariant_oplus(n: int, include_biinvariance: bool = True) -> Biinva
 
 def _row(*entries: tuple[int, complex]) -> dict:
     """Sparse row {column: value}; entries on the same column add up."""
-    row: dict = defaultdict(complex)
+    row: dict = {}
     for col, value in entries:
-        row[col] += value
+        row[col] = row.get(col, 0.0) + value
     return row
 
 
-def _rank(rows: Sequence[dict], n_unknowns: int) -> int:
+def _rank(rows: Iterable[dict], n_unknowns: int) -> int:
     """Rank at the absolute tolerance RANK_TOL of sparse rows over n_unknowns columns.
 
-    Only exact zeros are dropped: a coefficient 1 - lam_ij lam_ji can be one
-    ulp off zero, and the dense rank sees it too.  A union-find joins the
-    columns that share a row; the dense blocks of one shape share one SVD.
+    The rows are read once.  Only exact zeros are dropped: a coefficient
+    1 - lam_ij lam_ji can be one ulp off zero, and the dense rank sees it
+    too.  A union-find joins the columns of each row as it arrives; the
+    nonzero entries are kept once, in flat column and value lists cut at
+    the row ends.  The dense blocks of one shape share one SVD.
     """
     parent = list(range(n_unknowns))
 
@@ -465,25 +465,27 @@ def _rank(rows: Sequence[dict], n_unknowns: int) -> int:
             c = parent[c]
         return c
 
-    kept = []
+    cols, vals, ends = [], [], [0]
     for row in rows:
-        row = {c: v for c, v in row.items() if v != 0}
-        if row:
-            first, *rest = row
-            root = find(first)
-            for c in rest:
-                parent[find(c)] = root
-            kept.append(row)
+        for c, v in row.items():
+            if v != 0:
+                cols.append(c)
+                vals.append(v)
+        if len(cols) > ends[-1]:
+            root = find(cols[ends[-1]])
+            for k in range(ends[-1] + 1, len(cols)):
+                parent[find(cols[k])] = root
+            ends.append(len(cols))
     blocks: dict = defaultdict(list)
-    for row in kept:
-        blocks[find(next(iter(row)))].append(row)
+    for start, end in itertools.pairwise(ends):
+        blocks[find(cols[start])].append(range(start, end))
     by_shape: dict = defaultdict(list)
     for block in blocks.values():
-        local = {c: k for k, c in enumerate({c for row in block for c in row})}
+        local = {c: k for k, c in enumerate({cols[k] for row in block for k in row})}
         dense = np.zeros((len(block), len(local)), dtype=complex)
         for r, row in enumerate(block):
-            for c, v in row.items():
-                dense[r, local[c]] = v
+            for k in row:
+                dense[r, local[cols[k]]] = vals[k]
         by_shape[dense.shape].append(dense)
     return sum(int(np.count_nonzero(np.linalg.svd(np.stack(same), compute_uv=False) > RANK_TOL))
                for same in by_shape.values())
@@ -492,7 +494,7 @@ def _rank(rows: Sequence[dict], n_unknowns: int) -> int:
 # -- epsilon-derivation dimensions ----------------------------------------------------------------
 
 
-def _otheta_derivation_system(n: int) -> tuple[list[dict], int]:
+def _otheta_derivation_system(n: int) -> tuple[Iterable[dict], int]:
     """Constraint rows on (c, c_hat, d, d_hat) from the deformed relations.
 
     A generic deformation matrix (fixed seed) realizes the irrational-angle
@@ -521,43 +523,42 @@ def _otheta_derivation_system(n: int) -> tuple[list[dict], int]:
     def dhat_col(i, j):
         return 3 * m * m + i * m + j
 
-    rows = []
-    rng_idx = range(m)
-    for mu, nu, tau, rho in itertools.product(rng_idx, repeat=4):
-        if tau != rho and mu != nu:
-            continue  # no relation mentions this tuple
-        f = 1.0 - lam[mu][tau] * lam[rho][nu]
-        f2 = 1.0 - lam[tau][mu] * lam[nu][rho]
-        # a a, a b, a a* and a b* commutations
-        aa, ab, aas, abs_ = [], [], [], []
-        if tau == rho:
-            aa.append((c_col(mu, nu), f))
-            aas.append((c_col(mu, nu), f2))
-        if mu == nu:
-            aa.append((c_col(tau, rho), f))
-            ab.append((d_col(tau, rho), f))
-            aas.append((chat_col(tau, rho), f2))
-            abs_.append((dhat_col(tau, rho), f2))
-        rows += [_row(*es) for es in (aa, ab, aas, abs_) if es]
-    for alpha in rng_idx:
-        for beta in rng_idx:
-            rows.append(_row((chat_col(beta, alpha), 1.0), (c_col(alpha, beta), 1.0)))
-            rows.append(_row((d_col(alpha, beta), 1.0), (d_col(beta, alpha), 1.0)))
-            rows.append(_row((dhat_col(alpha, beta), 1.0), (dhat_col(beta, alpha), 1.0)))
-    return rows, n_unknowns
+    def rows():
+        for mu, nu, tau, rho in itertools.product(range(m), repeat=4):
+            if tau != rho and mu != nu:
+                continue  # no relation mentions this tuple
+            f = 1.0 - lam[mu][tau] * lam[rho][nu]
+            f2 = 1.0 - lam[tau][mu] * lam[nu][rho]
+            # a a, a b, a a* and a b* commutations
+            aa, ab, aas, abs_ = [], [], [], []
+            if tau == rho:
+                aa.append((c_col(mu, nu), f))
+                aas.append((c_col(mu, nu), f2))
+            if mu == nu:
+                aa.append((c_col(tau, rho), f))
+                ab.append((d_col(tau, rho), f))
+                aas.append((chat_col(tau, rho), f2))
+                abs_.append((dhat_col(tau, rho), f2))
+            yield from (_row(*es) for es in (aa, ab, aas, abs_) if es)
+        for alpha in range(m):
+            for beta in range(m):
+                yield _row((chat_col(beta, alpha), 1.0), (c_col(alpha, beta), 1.0))
+                yield _row((d_col(alpha, beta), 1.0), (d_col(beta, alpha), 1.0))
+                yield _row((dhat_col(alpha, beta), 1.0), (dhat_col(beta, alpha), 1.0))
+
+    return rows(), n_unknowns
 
 
-def _oplus_derivation_system(n: int) -> tuple[list[dict], int]:
+def _oplus_derivation_system(n: int) -> tuple[Iterable[dict], int]:
     """eta(x_ij) + eta(x_ji) = 0 from the orthogonality relations."""
     m = 2 * n
-    rows = [_row((i * m + j, 1.0), (j * m + i, 1.0))
-            for i in range(m) for j in range(i, m)]
+    rows = (_row((i * m + j, 1.0), (j * m + i, 1.0)) for i in range(m) for j in range(i, m))
     return rows, m * m
 
 
-def _torus_derivation_system() -> tuple[list[dict], int]:
+def _torus_derivation_system() -> tuple[Iterable[dict], int]:
     """Unitarity relations on (c_U, c_U*, c_V, c_V*) for the plain torus."""
-    return [_row((0, 1.0), (1, 1.0)), _row((2, 1.0), (3, 1.0))], 4
+    return [{0: 1.0, 1: 1.0}, {2: 1.0, 3: 1.0}], 4
 
 
 def epsilon_derivation_dim(group: str, verify: bool = False) -> int:

@@ -147,6 +147,9 @@ def test_projection_identities_and_trace():
         assert report.band_residuals.get(k, 0.0) < 1e-10
     assert abs(trace_banded(p) - GOLDEN) < 1e-12
     assert member_of_X(p, tol=1e-12).member
+    # An imaginary part of band 0 alone costs the membership.
+    tilted = BandedElement(p.context, {**p.bands, 0: CircleFunction(p.band(0).samples + 1e-9j)})
+    assert not member_of_X(tilted, tol=1e-12).member
 
 
 def test_projection_scaled_copy():

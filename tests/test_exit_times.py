@@ -648,12 +648,12 @@ def test_extract_invariants_validation():
 def test_series_quadratic_coefficient():
     chk = paper_series_check()
     assert chk.c2_matches
-    assert abs(chk.c2 - 1.0 / 32.0) < 1e-8
+    assert chk.c2 == 1.0 / 32.0
     assert chk.reference_c2 == 1.0 / 32.0
     assert chk.reference_c4 == 1.0 / 6144.0
-    # The two quartic contributions cancel: the computed coefficient is ~0,
+    # The two quartic contributions cancel: the computed coefficient is 0,
     # reported beside the reference rather than asserted against it.
-    assert abs(chk.c4) < 1e-9
+    assert chk.c4 == 0.0
     assert "not" in chk.note and "asserted" in chk.note
 
 
