@@ -40,7 +40,7 @@ print(f"exact a^2/sigma^2  : {exact_gamma:.6e}")
 # The full sweep: Monte Carlo gamma per level, a weighted power-law fit,
 # then the invariants.  2000 paths per level keeps this demo quick; the
 # package default (10^4) tightens the constants.
-report = run_exit_asymptotics(family, engine="reduced", n_paths=2000, seed=1)
+report = run_exit_asymptotics(family, n_paths=2000, seed=1)
 print(f"log-log slope      : {report.fit.slope:.4f}  (order n0={report.fit.n0})")
 print(f"c1                 : {report.fit.c1:.6f}  vs 1/32 = {1/32:.6f}")
 # d is driven by the leading coefficient and is already stable here; H sits

@@ -7,9 +7,9 @@ circle [0,1).  Under the locked torus conventions:
     adjoint:  band j of a* is  conj(f_{-j}(x - j theta))
 
 Band functions are stored as N uniform grid samples, optionally paired with an
-exact piecewise descriptor (constant / linear / sqrt-of-quadratic pieces) so
-that analytically constructed elements evaluate exactly off the grid.  All
-norms are grid sup-norms.
+exact piecewise descriptor (linear and sqrt-of-quadratic pieces, of which only
+linear ones integrate) so that analytically constructed elements evaluate
+exactly off the grid.  All norms are grid sup-norms.
 
 The trapezoid projection lives here: a Hermitian element with bands
 {-1, 0, 1}, plateau profile f_0 and bump f_1 = sqrt(f_0 - f_0^2) on the
@@ -49,10 +49,10 @@ class Piece:
     The piece covers [start, start + length) mod 1 and is evaluated in the
     local coordinate u = (x - start) mod 1 in [0, length):
 
-        kind "const":    params (c,)          value c
         kind "linear":   params (c0, c1)      value c0 + c1 u
         kind "sqrtquad": params (q0, q1, q2)  value sqrt(max(q0 + q1 u + q2 u^2, 0))
 
+    A constant c is the linear piece (c, 0.0); only linear pieces integrate.
     The base value is real; `scale` carries any complex multiplier.  Local
     coordinates make circle shifts exact: shifting only moves `start`.
     """
@@ -66,12 +66,10 @@ class Piece:
     def __post_init__(self) -> None:
         if not (0.0 < self.length <= 1.0):
             raise ValueError("piece length must lie in (0, 1]")
-        if self.kind not in ("const", "linear", "sqrtquad"):
+        if self.kind not in ("linear", "sqrtquad"):
             raise ValueError(f"unknown piece kind {self.kind!r}")
 
     def base_values(self, u: np.ndarray) -> np.ndarray:
-        if self.kind == "const":
-            return np.full_like(u, self.params[0])
         if self.kind == "linear":
             c0, c1 = self.params
             return c0 + c1 * u
@@ -79,45 +77,10 @@ class Piece:
         return np.sqrt(np.maximum(q0 + u * (q1 + q2 * u), 0.0))
 
     def base_integral(self) -> float:
-        length = self.length
-        if self.kind == "const":
-            return self.params[0] * length
-        if self.kind == "linear":
-            c0, c1 = self.params
-            return c0 * length + c1 * length * length / 2.0
-        return _sqrtquad_integral(self.params, 0.0, length)
-
-
-def _sqrtquad_integral(params: tuple, lo: float, hi: float) -> float:
-    """Integral of sqrt(max(q0 + q1 u + q2 u^2, 0)) over [lo, hi], q2 < 0.
-
-    Writes the quadratic as -q2 (u - r1)(r2 - u) and uses the circular-segment
-    antiderivative.  Only the concave case arises here (bump profiles).
-    """
-    q0, q1, q2 = params
-    if q2 >= 0.0:
-        raise ValueError("sqrtquad integral implemented for concave quadratics only")
-    disc = q1 * q1 - 4.0 * q0 * q2
-    if disc <= 0.0:
-        return 0.0
-    sq = math.sqrt(disc)
-    r1 = (-q1 + sq) / (2.0 * q2)
-    r2 = (-q1 - sq) / (2.0 * q2)
-    r1, r2 = min(r1, r2), max(r1, r2)
-    a = max(lo, r1)
-    b = min(hi, r2)
-    if b <= a:
-        return 0.0
-    scale = math.sqrt(-q2)
-    mid = (r1 + r2) / 2.0
-    rad = (r2 - r1) / 2.0
-
-    def anti(u: float) -> float:
-        w = max(-1.0, min(1.0, (u - mid) / rad))
-        return ((u - mid) * math.sqrt(max((u - r1) * (r2 - u), 0.0)) / 2.0
-                + rad * rad / 2.0 * math.asin(w))
-
-    return scale * (anti(b) - anti(a))
+        if self.kind != "linear":
+            raise ValueError(f"no exact integral for a {self.kind} piece")
+        c0, c1 = self.params
+        return c0 * self.length + c1 * self.length * self.length / 2.0
 
 
 class ExactPiecewise:
@@ -222,7 +185,7 @@ class CircleFunction:
 
     @classmethod
     def const(cls, value: complex, n: int = DEFAULT_GRID) -> "CircleFunction":
-        exact = ExactPiecewise([Piece(0.0, 1.0, "const", (1.0,), complex(value))])
+        exact = ExactPiecewise([Piece(0.0, 1.0, "linear", (1.0, 0.0), complex(value))])
         return cls(np.full(n, complex(value)), exact)
 
     def eval_at(self, x: np.ndarray) -> np.ndarray:
@@ -297,13 +260,6 @@ class BandedElement:
         self._check(other)
         keys = set(self.bands) | set(other.bands)
         out = {k: CircleFunction(self.band(k).samples - other.band(k).samples)
-               for k in keys}
-        return BandedElement(self.context, out, self.n)
-
-    def __add__(self, other: "BandedElement") -> "BandedElement":
-        self._check(other)
-        keys = set(self.bands) | set(other.bands)
-        out = {k: CircleFunction(self.band(k).samples + other.band(k).samples)
                for k in keys}
         return BandedElement(self.context, out, self.n)
 
@@ -385,7 +341,6 @@ class ProjectionReport:
     sup_hermitian: float
     band_residuals: dict[int, float]
     trace: complex
-    tol: float
 
 
 def is_projection(a: BandedElement, tol: float = 1e-10) -> ProjectionReport:
@@ -398,7 +353,7 @@ def is_projection(a: BandedElement, tol: float = 1e-10) -> ProjectionReport:
     sup_sq = max(band_res.values(), default=0.0)
     sup_st = supdiff(star_banded(a), a)
     ok = sup_sq <= tol and sup_st <= tol
-    return ProjectionReport(ok, sup_sq, sup_st, band_res, trace_banded(a), tol)
+    return ProjectionReport(ok, sup_sq, sup_st, band_res, trace_banded(a))
 
 
 @dataclass
@@ -480,7 +435,7 @@ def build_rieffel_projection(spec: RieffelProjectionSpec,
         Piece(theta_e, eps, "linear", (1.0, -1.0 / eps)),
     ]
     if theta_e > eps:
-        f0_pieces.insert(1, Piece(eps, theta_e - eps, "const", (1.0,)))
+        f0_pieces.insert(1, Piece(eps, theta_e - eps, "linear", (1.0, 0.0)))
     bump = (0.0, 1.0 / eps, -1.0 / (eps * eps))
     f1_pieces = [Piece(theta_e, eps, "sqrtquad", bump)]
     fm1_pieces = [Piece(0.0, eps, "sqrtquad", bump)]
@@ -496,7 +451,7 @@ def build_rieffel_projection(spec: RieffelProjectionSpec,
 def indicator_banded(context: AlgebraContext, arcs: Iterable[tuple[float, float]],
                      n: int = DEFAULT_GRID) -> BandedElement:
     """Diagonal element chi_S(U) for a union of half-open arcs [a, b) in [0,1)."""
-    pieces = [Piece(a, b - a, "const", (1.0,)) for a, b in arcs if b > a]
+    pieces = [Piece(a, b - a, "linear", (1.0, 0.0)) for a, b in arcs if b > a]
     if not pieces:
         return BandedElement(context, {}, n)
     return BandedElement(context,

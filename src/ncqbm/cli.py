@@ -117,26 +117,33 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 # (section, key) -> (attribute, parser), in the order render_config prints them.
 _SCHEMA = {
-    ("experiment", "theta"): ("theta", float),
+    ("experiment", "theta"): ("theta", _parse_float),
     ("experiment", "seed"): ("seed", int),
     ("experiment", "out"): ("out", str),
-    ("projection", "epsilon_factor"): ("epsilon_factor", float),
+    ("projection", "epsilon_factor"): ("epsilon_factor", _parse_float),
     ("projection", "scale_k"): ("scale_k", int),
     ("projection", "grid"): ("grid", int),
-    ("flow", "sigma2"): ("sigma2", float),
+    ("flow", "sigma2"): ("sigma2", _parse_float),
     ("flow", "n_paths"): ("n_paths", int),
-    ("flow", "time"): ("time", float),
-    ("flow", "drift_mu"): ("drift_mu", float),
-    ("flow", "drift_nu"): ("drift_nu", float),
+    ("flow", "time"): ("time", _parse_float),
+    ("flow", "drift_mu"): ("drift_mu", _parse_float),
+    ("flow", "drift_nu"): ("drift_nu", _parse_float),
     ("exit", "convergent_count"): ("convergent_count", int),
     ("exit", "analytic"): ("analytic", _parse_bool),
-    ("exit", "sigma2"): ("exit_sigma2", float),
+    ("exit", "sigma2"): ("exit_sigma2", _parse_float),
     ("exit", "n_paths"): ("exit_paths", int),
     ("meet", "tuples"): ("meet_tuples", int),
     ("meet", "grid"): ("meet_grid", int),
-    ("meet", "epsilon_factor"): ("meet_epsilon_factor", float),
+    ("meet", "epsilon_factor"): ("meet_epsilon_factor", _parse_float),
 }
 
 

@@ -309,7 +309,7 @@ def _quantile_floor(values: np.ndarray, q: float) -> int:
 
 
 def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: float,
-                      sigma2: float, seed: int, truncation: float) -> GammaEstimate:
+                      sigma2: float, seed: int) -> GammaEstimate:
     """Mean exit time estimate from the exit steps of one level's paths.
 
     Both estimators place an exit half a step before the grid point that
@@ -327,7 +327,7 @@ def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: floa
         # mean(min(e, J)) * dt, and the trapezoid correction subtracts the
         # half-cells at both ends.  The reduced estimate of the same exits
         # exceeds this one by exactly the tail.
-        horizon = max(_quantile_floor(exits, 1.0 - truncation), 1)
+        horizon = max(_quantile_floor(exits, 1.0 - SURVIVAL_TRUNCATION), 1)
         capped = np.minimum(exits, horizon)
         s_end = float(np.mean(exits > horizon))
         rect = float(np.mean(capped)) * dt
@@ -351,15 +351,15 @@ class SurvivalComparison:
     operator: GammaEstimate
 
 
-def _compare_rules(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2: float,
-                   steps: int, truncation: float) -> SurvivalComparison:
+def _compare_rules(family: ExitFamily, index: int, n_paths: int, seed: int,
+                   sigma2: float) -> SurvivalComparison:
     """Samples one level once; both estimators read the exits of their own rule.
 
     Per-path survival indicators are determined by the exit step, so exact
     equality of the exit steps is exact equality of the indicator processes.
     """
     level = family.levels[index]
-    e_red, e_op, dt = _exit_steps(family, index, n_paths, seed, sigma2, steps)
+    e_red, e_op, dt = _exit_steps(family, index, n_paths, seed, sigma2)
     differ = e_red != e_op
     # A path whose rules disagree stopped at the step where one failed.
     first = int(np.minimum(e_red, e_op)[differ].min()) if differ.any() else None
@@ -367,30 +367,30 @@ def _compare_rules(family: ExitFamily, index: int, n_paths: int, seed: int, sigm
         indicators_equal=first is None,
         max_step_difference=int(np.abs(e_red - e_op).max(initial=0)),
         first_disagreement=first,
-        reduced=_gamma_from_exits(e_red, "reduced", level, dt, sigma2, seed, truncation),
-        operator=_gamma_from_exits(e_op, "operator", level, dt, sigma2, seed, truncation))
+        reduced=_gamma_from_exits(e_red, "reduced", level, dt, sigma2, seed),
+        operator=_gamma_from_exits(e_op, "operator", level, dt, sigma2, seed))
 
 
 def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
-                   n_paths: int = 10_000, steps: int = STEPS_PER_MEAN_EXIT,
-                   seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
-                   truncation: float = SURVIVAL_TRUNCATION) -> GammaEstimate:
-    """Monte Carlo mean exit time gamma_n for one family level.
+                   n_paths: int = 10_000, seed: int = 0,
+                   sigma2: float = DEFAULT_SIGMA2) -> GammaEstimate:
+    """Monte Carlo mean exit time gamma_n for one family level, at 16 steps per
+    mean exit time (STEPS_PER_MEAN_EXIT), survival truncated at 1e-4.
 
     `engine` picks the estimator; the estimate's `survival` holds both
     estimators and the pathwise verdict of the same simulation.
     """
     if engine not in ("reduced", "operator"):
         raise ValueError("engine must be 'reduced' or 'operator'")
-    comparison = _compare_rules(family, index, n_paths, seed, sigma2, steps, truncation)
+    comparison = _compare_rules(family, index, n_paths, seed, sigma2)
     return replace(getattr(comparison, engine), survival=comparison)
 
 
 def run_survival_comparison(family: ExitFamily, index: int, n_paths: int = 2000,
-                            seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
-                            steps: int = STEPS_PER_MEAN_EXIT) -> SurvivalComparison:
-    """Both rules on one simulation of a level, compared path by path."""
-    return _compare_rules(family, index, n_paths, seed, sigma2, steps, SURVIVAL_TRUNCATION)
+                            seed: int = 0) -> SurvivalComparison:
+    """Both rules on one simulation of a level, compared path by path, at
+    sigma2 = 2, 16 steps per mean exit time and survival truncated at 1e-4."""
+    return _compare_rules(family, index, n_paths, seed, DEFAULT_SIGMA2)
 
 
 # -- asymptotics ------------------------------------------------------------------------------
@@ -433,7 +433,7 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
     if len(pairs) < 4:
         raise ValueError("need at least 4 (v, gamma, stderr) pairs")
     vs, gs, ss = np.array(pairs).T
-    if vs.min() <= 0.0 or gs.min() <= 0.0:
+    if not (vs.min() > 0.0 and gs.min() > 0.0):
         raise ValueError("v and gamma must be positive")
     if vs.max() / vs.min() < 10.0 * (1.0 - 1e-9):
         raise ValueError("pairs must span at least a decade in v")
@@ -590,17 +590,16 @@ class AsymptoticsReport:
     fit_error: Optional[str] = None
 
 
-def run_exit_asymptotics(family: ExitFamily, engine: str = "reduced",
-                         n_paths: int = 10_000, seed: int = 0,
+def run_exit_asymptotics(family: ExitFamily, n_paths: int = 10_000, seed: int = 0,
                          sigma2: float = DEFAULT_SIGMA2) -> AsymptoticsReport:
     """Estimates gamma over the family, fits the power law, extracts invariants.
 
-    Each level is sampled once; its estimate's `survival` holds the other
-    estimator and the pathwise verdict.  Estimates without a power law are a
-    result, not an error: the report then has no fit and says why in
-    fit_error.
+    Each level is sampled once; its reduced estimate's `survival` holds the
+    operator estimator and the pathwise verdict.  Estimates without a power
+    law are a result, not an error: the report then has no fit and says why
+    in fit_error.
     """
-    estimates = [gamma_estimate(family, i, engine, n_paths, seed=seed, sigma2=sigma2)
+    estimates = [gamma_estimate(family, i, "reduced", n_paths, seed=seed, sigma2=sigma2)
                  for i in range(len(family.levels))]
     fit = invariants = error = None
     try:

@@ -174,18 +174,12 @@ class McCoefficient:
     m: int
     n: int
     mean: complex
-    stderr_re: float
-    stderr_im: float
-
-    @property
-    def stderr(self) -> float:
-        """Combined standard error sqrt(Var(Re) + Var(Im)) / sqrt(n)."""
-        return math.hypot(self.stderr_re, self.stderr_im)
+    # Combined standard error sqrt(Var(Re) + Var(Im)) / sqrt(n).
+    stderr: float
 
 
 @dataclass
 class McReport:
-    t: float
     sigma2: float
     n_paths: int
     seed: int
@@ -237,11 +231,9 @@ def vacuum_expectation_mc(a: TorusElement, t: float, spec: SemigroupSpec,
         mean = sums[key] / n_paths
         var_re = max(sums_sq[key][0] / n_paths - mean.real ** 2, 0.0)
         var_im = max(sums_sq[key][1] / n_paths - mean.imag ** 2, 0.0)
-        se_re = math.sqrt(var_re / n_paths)
-        se_im = math.sqrt(var_im / n_paths)
-        stats.append(McCoefficient(key[0], key[1], mean, se_re, se_im))
+        stderr = math.hypot(math.sqrt(var_re / n_paths), math.sqrt(var_im / n_paths))
+        stats.append(McCoefficient(key[0], key[1], mean, stderr))
         coeffs[key] = mean
     element = TorusElement(a.context, coeffs)
-    report = McReport(t=t, sigma2=spec.sigma2, n_paths=n_paths, seed=seed,
-                      coefficients=stats)
+    report = McReport(sigma2=spec.sigma2, n_paths=n_paths, seed=seed, coefficients=stats)
     return element, report

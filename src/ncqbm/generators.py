@@ -392,7 +392,6 @@ class BiinvariantSolution:
     dimension: int
     n_unknowns: int
     rank: int
-    include_biinvariance: bool
 
 
 def solve_biinvariant_oplus(n: int, include_biinvariance: bool = True) -> BiinvariantSolution:
@@ -433,8 +432,7 @@ def solve_biinvariant_oplus(n: int, include_biinvariance: bool = True) -> Biinva
 
     rank = _rank(rows(), n_unknowns)
     return BiinvariantSolution(n=n, dimension=n_unknowns - rank,
-                               n_unknowns=n_unknowns, rank=rank,
-                               include_biinvariance=include_biinvariance)
+                               n_unknowns=n_unknowns, rank=rank)
 
 
 # -- sparse relation rows ---------------------------------------------------------------------

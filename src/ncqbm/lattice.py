@@ -80,10 +80,6 @@ class IntervalSet:
     def full(cls) -> "IntervalSet":
         return cls([(0.0, 1.0)], normalized=True)
 
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls((), normalized=True)
-
     @property
     def is_empty(self) -> bool:
         return not self.arcs
@@ -109,9 +105,6 @@ class IntervalSet:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntervalSet) and self.arcs == other.arcs
-
-    def __hash__(self) -> int:
-        return hash(self.arcs)
 
     def __repr__(self) -> str:
         body = ", ".join(f"[{a:.6g},{b:.6g})" for a, b in self.arcs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 # Coefficients with modulus at or below this are dropped from the support.
 DROP_TOL = 1e-15
@@ -62,10 +62,6 @@ class TorusElement:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, context: AlgebraContext) -> "TorusElement":
-        return cls(context, {})
-
-    @classmethod
     def one(cls, context: AlgebraContext) -> "TorusElement":
         return cls(context, {(0, 0): 1.0})
 
@@ -88,15 +84,6 @@ class TorusElement:
     def support(self) -> list[tuple[int, int]]:
         return sorted(self._coeffs)
 
-    def items(self) -> Iterator[tuple[tuple[int, int], complex]]:
-        return iter(sorted(self._coeffs.items()))
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
     # -- linear structure ------------------------------------------------------
 
     def _check_context(self, other: "TorusElement") -> None:
@@ -117,19 +104,8 @@ class TorusElement:
             out[key] = out.get(key, 0.0) - c
         return TorusElement(self.context, out)
 
-    def __neg__(self) -> "TorusElement":
-        return TorusElement(self.context, {k: -c for k, c in self._coeffs.items()})
-
     def scale(self, z: complex) -> "TorusElement":
         return TorusElement(self.context, {k: z * c for k, c in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TorusElement):
-            return mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     # -- norms and comparison ----------------------------------------------------
 
@@ -141,7 +117,7 @@ class TorusElement:
         return (self - other).coeff_sup() <= tol
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"({m},{n}): {c:.6g}" for (m, n), c in self.items())
+        terms = ", ".join(f"({m},{n}): {c:.6g}" for (m, n), c in sorted(self._coeffs.items()))
         return f"TorusElement(theta={self.context.theta:.12g}, {{{terms}}})"
 
 

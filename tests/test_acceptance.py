@@ -130,8 +130,7 @@ def test_criterion_05_exit_time_leading_order():
     start = time.perf_counter()
     family = ExitFamily.golden(6)
     assert [lvl.k for lvl in family.levels] == [1, 2, 3, 5, 8, 13]
-    report = run_exit_asymptotics(family, engine="reduced", n_paths=10_000,
-                                  seed=20260815, sigma2=2.0)
+    report = run_exit_asymptotics(family, n_paths=10_000, seed=20260815, sigma2=2.0)
     elapsed = time.perf_counter() - start
     assert 1.9 <= report.fit.slope <= 2.1
     assert report.fit.n0 == 1

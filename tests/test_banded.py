@@ -317,8 +317,10 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(ANY_FLOAT, max_size=32), st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT))
-def test_sqrtquad_floor_matches_np_clip_bitwise(values, params):
+@given(st.lists(ANY_FLOAT, max_size=32), st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=32),
+       st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1.0, exclude_min=True))
+def test_sqrtquad_floor_matches_np_clip_bitwise(values, params, u, c, length):
     # Piece.base_values floors the quadratic with np.maximum(q, 0.0); it must
     # give np.clip(q, 0.0, None)'s bytes, signed zeros and NaNs included.
     x = np.array(SPECIAL_FLOATS + values)
@@ -328,6 +330,17 @@ def test_sqrtquad_floor_matches_np_clip_bitwise(values, params):
     with np.errstate(all="ignore"):
         want = np.sqrt(np.clip(q0 + x * (q1 + q2 * x), 0.0, None))
         assert piece.base_values(x).tobytes() == want.tobytes()
+    # Only linear pieces integrate; band 0 never holds a bump.
+    with pytest.raises(ValueError, match="sqrtquad"):
+        ExactPiecewise([piece]).integral()
+    # A constant c is the linear piece (c, 0.0): on local coordinates in
+    # [0, 1), c + 0.0 * u is c bit for bit (for c = -0.0 it is +0.0, hence
+    # the + 0.0 on the drawn c).
+    c += 0.0
+    u = np.array([0.0] + u)
+    flat = Piece(0.0, length, "linear", (c, 0.0))
+    assert flat.base_values(u).tobytes() == np.full_like(u, c).tobytes()
+    assert flat.base_integral() == c * length
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncqbm.cli import (_BUNDLED_SPECS, ConfigError, ExperimentConfig, load_config, main,
-                       render_config)
+from ncqbm.cli import (_BUNDLED_SPECS, _SCHEMA, ConfigError, ExperimentConfig, load_config,
+                       main, render_config)
 from ncqbm.flow import stream_rng
 from ncqbm.generators import check_generator_spec, generator_spec_from_data
 
@@ -81,6 +81,25 @@ def test_unparsable_config_value_is_input_error(tmp_path, capsys):
     path.write_text("[experiment]\ntheta = golden\n")
     assert run(["verify-projection", "--config", str(path)]) == 2
     assert "bad value" in capsys.readouterr().err
+
+
+# Each float-valued config key, with the command that reads its section.
+_FLOAT_KEYS = [(section, key) for (section, key), (attr, _) in _SCHEMA.items()
+               if isinstance(getattr(ExperimentConfig(), attr), float)]
+_SECTION_COMMAND = {"experiment": "exit-asymptotics", "projection": "verify-projection",
+                    "flow": "semigroup-check", "exit": "exit-asymptotics",
+                    "meet": "meet-demo"}
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", _FLOAT_KEYS)
+def test_non_finite_config_value_is_input_error(tmp_path, capsys, section, key, text):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{section}]\n{key} = {text}\n")
+    out = tmp_path / "out"
+    assert run([_SECTION_COMMAND[section], "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"bad value for [{section}] {key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_out_of_range_config_value_is_input_error(tmp_path, capsys):

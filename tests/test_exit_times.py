@@ -300,10 +300,10 @@ def test_steps_below_the_floor_are_rejected():
     # Mean exit step is steps + 1/2, so the floor is checked before sampling.
     fam = ExitFamily.golden(3)
     with pytest.raises(ValueError, match="at least 8"):
-        gamma_estimate(fam, 1, n_paths=200, steps=7, seed=3)
-    est = gamma_estimate(fam, 1, n_paths=200, steps=8, seed=3)
-    assert est.dt == exit_time_mean_exact(fam.levels[1].half_width, est.sigma2) / 8
-    assert 6.5 < est.mean_steps < 10.5
+        _exit_steps(fam, 1, 200, 3, 2.0, steps=7)
+    exits, _, dt = _exit_steps(fam, 1, 200, 3, 2.0, steps=8)
+    assert dt == exit_time_mean_exact(fam.levels[1].half_width, 2.0) / 8
+    assert 6.5 < np.mean(exits) < 10.5
 
 
 def test_engines_agree_bitwise_on_shared_streams():
@@ -446,10 +446,10 @@ def test_gamma_estimate_is_deterministic_in_seed():
     assert a.gamma != c.gamma
 
 
-def test_aggressive_truncation_is_flagged():
+def test_aggressive_truncation_is_flagged(monkeypatch):
+    monkeypatch.setattr(exit_times, "SURVIVAL_TRUNCATION", 0.5)
     fam = ExitFamily.golden(3)
-    est = gamma_estimate(fam, 0, engine="operator", n_paths=600, seed=2,
-                         truncation=0.5)
+    est = gamma_estimate(fam, 0, engine="operator", n_paths=600, seed=2)
     assert est.truncation_flagged
     assert est.tail > 0.0
 
@@ -495,6 +495,11 @@ def test_fit_preconditions():
     vs = np.geomspace(0.1, 0.5, 5)
     with pytest.raises(ValueError, match="decade"):
         fit_asymptotics([(v, v * v, 0.0) for v in vs])
+    # A NaN gamma is not positive: it raises instead of fitting to NaN.
+    pairs = [(v, v * v, 1e-3 * v * v) for v in np.geomspace(0.01, 0.5, 6)]
+    pairs[3] = (pairs[3][0], math.nan, pairs[3][2])
+    with pytest.raises(ValueError, match="positive"):
+        fit_asymptotics(pairs)
 
 
 def test_fit_uses_reported_errors_as_weights():
@@ -672,7 +677,7 @@ def test_classical_circle_benchmark():
 
 def test_run_exit_asymptotics_report():
     fam = ExitFamily.golden(6)
-    report = run_exit_asymptotics(fam, engine="reduced", n_paths=800, seed=1)
+    report = run_exit_asymptotics(fam, n_paths=800, seed=1)
     assert isinstance(report, AsymptoticsReport)
     assert report.fit.n0 == 1
     assert abs(report.fit.slope - 2.0) < 0.1
