@@ -15,13 +15,18 @@ The paths are stepped at STEPS_PER_MEAN_EXIT = 16 steps per mean exit time.
 A step that ends inside the interval still kills the path with the
 Brownian-bridge probability of having crossed an edge between its two grid
 points (Baldi 1995; Gobet 2000), so the exit step has the law of the
-continuous-time exit and the coarse grid leaves no monitoring bias.  Only
-the mid-step placement of the exit and the operator trapezoid depend on the
-grid; both err by O(dt^2), about (pi^2/8)/12/16^2 ~ 0.04% of gamma here.
+continuous-time exit and the coarse grid leaves no monitoring bias.  The
+mid-step exit placement and the operator trapezoid err per path by O(dt^2),
+about (pi^2/8)/12/16^2 ~ 0.04% of gamma; the mean errs by only -9.8e-7 =
+(m - 1/2)/16 - 1, m = 16.4999843 the chain's exact mean step (tests/oracles.py).
 
-The chunks of ENGINE_CHUNK paths of a level share one stepping loop; each
-draws for its own live paths from its own counter-based stream, keyed by
-(seed, 3, 0, level, chunk), so no two seeds, levels or chunks share draws.
+In units of a every level is one killed walk, from 0 out of [-1, 1] in steps
+of sd 1/4, so the sweep measures one constant, E[exit step] / 16, six times:
+gamma_n = (E[exit step] - 1/2) / 16 * a_n^2 / sigma^2 is a power law in v by
+construction, and the fitted c2 is noise about 0.  The stepping loop runs in
+buffers allocated once per level; each chunk of ENGINE_CHUNK paths draws from
+its own stream, keyed by (seed, 3, 0, level, chunk), so no two seeds, levels
+or chunks share draws.
 
 One sampler runs each level once and applies two survival rules to every
 step of the same paths, as separate computations:
@@ -33,8 +38,7 @@ step of the same paths, as separate computations:
 min(a, b) >= c is float-identical to (a >= c) & (b >= c) and both rules
 apply the same bridge kill, so correct rules give equal exit steps on every
 path.  The sampler records each rule's exits, and a difference is reported
-with the first step at which it occurs.  Two
-estimators of the mean exit time gamma_n read those exits:
+with the first step at which it occurs.  Two estimators of gamma_n read them:
 
 * reduced: gamma = mean of (exit step - 1/2) * dt, the exit placed mid-step;
 * operator: trapezoid rule over the survival curve, truncated where it falls
@@ -58,9 +62,7 @@ import numpy as np
 from .flow import stream_rng
 
 DEFAULT_SIGMA2 = 2.0
-# Every level steps at mean / STEPS_PER_MEAN_EXIT, so increments are a/4.  The
-# bridge kill in _exit_steps removes the discrete-monitoring bias, which at
-# this grid would otherwise be ~2 * 0.5826 * sigma*sqrt(dt)/a ~ 29%.
+# Steps of a/4, whose grid-monitoring bias (~2 * 0.5826 / 4 ~ 29%) the bridge kill removes.
 STEPS_PER_MEAN_EXIT = 16
 SURVIVAL_TRUNCATION = 1e-4
 # Paths per stream key, and half the bound on the live paths of the stepping loop.
@@ -195,85 +197,83 @@ def _operator_rule(run_min: np.ndarray, run_max: np.ndarray, u: np.ndarray,
 
 def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2: float,
                 steps: int = STEPS_PER_MEAN_EXIT) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exit step of each path at one family level under the reduced and the
-    operator rule, and the step length dt.
+    """Exit step of each path at one level under the reduced and the operator
+    rule, and the step length dt = (a^2 / sigma2) / steps.
 
-    Every level takes `steps` steps per mean exit time, dt = (a^2 / sigma2) /
-    steps, so each is sampled at the same resolution relative to its own time
-    scale; fewer than MIN_MEAN_STEPS steps raises.
-    Paths start at the state angle and leave [lo, hi] = [eps - x0, v - x0].
+    Paths walk in units of the half-width a, from 0 out of [-1, 1] by
+    z / sqrt(steps), at `steps` >= MIN_MEAN_STEPS steps per mean exit time.
     The chunks of ENGINE_CHUNK paths share one stepping loop: a chunk joins at
     the first step at which it fits under 2 ENGINE_CHUNK live paths, and its
     exit steps and MAX_MEAN_EXITS cap count from there.  Each step every chunk
-    draws one normal, then one uniform, for each of its live paths from its
-    stream stream_rng(seed, 3, 0, index, chunk), as if stepped alone.  A step
-    that ends inside [lo, hi] still kills the path when its uniform falls
-    below the Brownian-bridge probability of having crossed an edge between
-    the two grid points,
-    exp(-2 (hi - w0)(hi - w1) / s^2) + exp(-2 (w0 - lo)(w1 - lo) / s^2)
-    with s^2 = sigma2 * dt, so the exit step is the step in which the
-    continuous path left.  The sum overcounts paths that touch both edges
-    within one step, which is negligible while s is small next to hi - lo.
-    An edge term is at least 1 on a step that ends beyond its edge, so a rule
-    ignores an edge only if it drops both that edge's test and its term.
-
-    Both rules see every step of the same paths.  A path stops at the first
-    step at which either rule fails.  Each rule's array records that step
-    where the rule failed, and the next step, a lower bound on its own exit,
-    where it still held; so the two arrays are equal exactly when the rules
-    agree on every path.
+    draws one normal, then one uniform, per live path from its stream
+    stream_rng(seed, 3, 0, index, chunk), as if stepped alone.  A step from w0
+    to w1 inside [-1, 1] still kills the path when its uniform falls below the
+    bridge probability of crossing an edge, exp(-2 steps (1 - w0)(1 - w1)) +
+    exp(-2 steps (w0 + 1)(w1 + 1)), which counts a path touching both edges in
+    one step twice (negligible at sd 1/4).  An edge term is at least 1 on a
+    step that ends beyond its edge, so a rule ignores an edge only if it drops
+    both that edge's test and its term.  A path stops at the first step at
+    which either rule fails.  Each rule's array records that step where the
+    rule failed, and the next step, a lower bound on its own exit, where it
+    still held; so the two arrays are equal exactly when the rules agree on
+    every path.
     """
     if steps < MIN_MEAN_STEPS:
         raise ValueError(f"steps per mean exit must be at least {MIN_MEAN_STEPS}")
-    level = family.levels[index]
-    dt = exit_time_oracle_exact(level.half_width, sigma2) / steps
-    lo = level.epsilon - level.state_angle
-    hi = level.v - level.state_angle
-    step_scale = math.sqrt(sigma2 * dt)
-    kill_rate = 2.0 / (step_scale * step_scale)
+    dt = exit_time_oracle_exact(family.levels[index].half_width, sigma2) / steps
+    scale, rate = 1.0 / math.sqrt(steps), -2.0 * steps
     out_red, out_op = np.zeros((2, n_paths), dtype=np.int64)
-    # Each step's normals and uniforms, a run per chunk in chunk order.
-    z_buf, u_buf = np.empty((2, min(2 * ENGINE_CHUNK, n_paths)))
-    # (end, join step, stream, live paths) of each chunk in the loop, in chunk
-    # order; idx stays sorted, so a chunk's live paths are one run of it.
-    active: list[tuple] = []
-    idx = w = run_min = run_max = np.zeros(0, dtype=np.int64)  # until a chunk joins
-    step = chunk = 0
+    # Live paths fill a prefix of each buffer in chunk order; idx, their path
+    # numbers, stays sorted, so a chunk's live paths are one run of it.
+    z, u, w, low, high, p_hi, p_lo = np.empty((7, min(2 * ENGINE_CHUNK, n_paths)))
+    idx = np.empty(z.size, dtype=np.int64)
+    active: list[tuple] = []  # (end, join step, stream, live paths) of each chunk
+    n = step = chunk = 0
     while active or chunk * ENGINE_CHUNK < n_paths:
         start, stop = chunk * ENGINE_CHUNK, min((chunk + 1) * ENGINE_CHUNK, n_paths)
-        if start < n_paths and idx.size + stop - start <= 2 * ENGINE_CHUNK:
+        if start < n_paths and n + stop - start <= 2 * ENGINE_CHUNK:
             out_red[start:stop] = out_op[start:stop] = -step  # count from the join
             active.append((stop, step, stream_rng(seed, 3, 0, index, chunk), stop - start))
-            fresh = (np.arange(start, stop), *[np.zeros(stop - start)] * 3)
-            idx, w, run_min, run_max = [np.concatenate(pair) if idx.size else pair[1]
-                                        for pair in zip((idx, w, run_min, run_max), fresh)]
-            chunk += 1
+            joined = slice(n, n + stop - start)
+            idx[joined] = np.arange(start, stop)
+            w[joined] = low[joined] = high[joined] = 0.0
+            n, chunk = n + stop - start, chunk + 1
             continue
         step += 1
         if step - active[0][1] > MAX_MEAN_EXITS * steps:
             raise StepCapExceeded("exit-time simulation exceeded the step cap")
         at = 0
-        for _, _, rng, n in active:
-            rng.standard_normal(out=z_buf[at:at + n])
-            rng.random(out=u_buf[at:at + n])
-            at += n
-        z, u = z_buf[:at], u_buf[:at]
-        w_next = w + z * step_scale
-        p_hi = np.exp(-kill_rate * (hi - w) * (hi - w_next))
-        p_lo = np.exp(-kill_rate * (w - lo) * (w_next - lo))
-        w = w_next
-        run_min = np.minimum(run_min, w)
-        run_max = np.maximum(run_max, w)
-        red = _reduced_rule(w, u, p_lo, p_hi, lo, hi)
-        op = _operator_rule(run_min, run_max, u, p_lo, p_hi, lo, hi)
+        for _, _, rng, k in active:
+            rng.standard_normal(out=z[at:at + k])
+            rng.random(out=u[at:at + k])
+            at += k
+        w0, w1, un, lo, hi, ph, pl = w[:n], z[:n], u[:n], low[:n], high[:n], p_hi[:n], p_lo[:n]
+        w1 *= scale
+        w1 += w0
+        np.subtract(1.0, w0, out=ph)
+        ph *= np.subtract(1.0, w1, out=pl)
+        ph *= rate
+        np.exp(ph, out=ph)
+        np.add(w0, 1.0, out=pl)
+        pl *= np.add(w1, 1.0, out=w0)  # the old position is spent
+        pl *= rate
+        np.exp(pl, out=pl)
+        z, w = w, z
+        np.minimum(lo, w1, out=lo)
+        np.maximum(hi, w1, out=hi)
+        red = _reduced_rule(w1, un, pl, ph, -1.0, 1.0)
+        op = _operator_rule(lo, hi, un, pl, ph, -1.0, 1.0)
         live = red & op
         if not live.all():
             dead = ~live
-            out_red[idx[dead]] += step + red[dead]
-            out_op[idx[dead]] += step + op[dead]
-            w, run_min, run_max, idx = w[live], run_min[live], run_max[live], idx[live]
-            ends = [idx.size] if len(active) == 1 else np.searchsorted(
-                idx, [end for end, *_ in active]).tolist()
+            gone = idx[:n][dead]
+            out_red[gone] += step + red[dead]
+            out_op[gone] += step + op[dead]
+            n -= gone.size
+            for buf in (w, low, high, idx):  # compact the live prefix
+                buf[:n] = buf[:live.size][live]
+            ends = [n] if len(active) == 1 else np.searchsorted(
+                idx[:n], [end for end, *_ in active]).tolist()
             active = [(*e[:3], b - a) for e, a, b in zip(active, [0, *ends], ends) if b > a]
     return out_red, out_op, dt
 

@@ -15,6 +15,8 @@ Oracles provided:
   interval (closed-form mean a^2 / sigma^2 and survival series),
 * a chunk-by-chunk exit-step sampler with its own survival tests, the
   reference for the exit sampler's shared stepping loop,
+* the exact mean exit step of the killed walk that sampler steps, by a
+  Gauss-Legendre Nystrom solve,
 * Taylor coefficients by central differences with one Richardson step,
 * the weighted two-coefficient power-law fit by numpy's SVD least squares
   and the inverse of the normal matrix,
@@ -170,6 +172,28 @@ def exit_steps_chunkwise(lo: float, hi: float, dt: float, sigma2: float, n_paths
             keep = ~stop
             paths, w, low, high = paths[keep], w[keep], low[keep], high[keep]
     return red_exit, op_exit
+
+
+def killed_walk_mean_exit_step(nodes: int = 100, steps: int = 16) -> float:
+    """Mean exit step m(0) of the walk on [-1, 1] from 0 with N(0, 1/steps) steps,
+    killed by the bridge test: a step from x to y in [-1, 1] survives with
+    probability max(0, 1 - exp(-2 steps (1 - x)(1 - y)) - exp(-2 steps (1 + x)(1 + y))),
+    and every step that ends outside dies.
+
+    m solves m = 1 + K m with K(x, y) the step density times that survival;
+    the Nystrom method puts it on `nodes` Gauss-Legendre nodes, solves the
+    linear system there and evaluates 1 + (K m)(0) with the same rule.
+    """
+    x, wts = np.polynomial.legendre.leggauss(nodes)
+
+    def kernel(a, b):
+        density = np.exp(-steps * (b - a) ** 2 / 2.0) * math.sqrt(steps / (2.0 * math.pi))
+        survive = 1.0 - np.exp(-2.0 * steps * (1.0 - a) * (1.0 - b)) \
+            - np.exp(-2.0 * steps * (1.0 + a) * (1.0 + b))
+        return density * np.maximum(survive, 0.0) * wts
+
+    m = np.linalg.solve(np.eye(nodes) - kernel(x[:, None], x[None, :]), np.ones(nodes))
+    return float(1.0 + kernel(0.0, x) @ m)
 
 
 # -- Taylor coefficients ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from oracles import (
     exit_steps_chunkwise,
     exit_time_mean_exact,
     exit_time_survival_exact,
+    killed_walk_mean_exit_step,
     reduced_angle_oracle,
     weighted_power_fit,
 )
@@ -233,10 +235,13 @@ def spy_on_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk, n_paths, index, seed",
-                         [(64, 5 * 64 + 3, 2, 5), (4096, 2 * 4096 + 37, 3, 9)])
+                         [(64, 5 * 64 + 3, 2, 5), (4096, 2 * 4096 + 37, 3, 9),
+                          (4096, 10_000, 0, 0), (4096, 10_000, 5, 0)])
 def test_shared_loop_matches_chunks_stepped_alone(monkeypatch, chunk, n_paths, index, seed):
     # Several joins and a partial last chunk; every exit step is bit-identical
-    # to the chunk-by-chunk oracle on the same streams.
+    # to the chunk-by-chunk oracle on the same streams, which steps in the
+    # level's own geometry (the last two cases are the default sweep's first
+    # and last level).
     monkeypatch.setattr("ncqbm.exit_times.ENGINE_CHUNK", chunk)
     fam = ExitFamily.golden(6)
     _, joins = spy_on_steps(monkeypatch)
@@ -245,6 +250,23 @@ def test_shared_loop_matches_chunks_stepped_alone(monkeypatch, chunk, n_paths, i
     ref_red, ref_op = chunkwise_reference(fam, index, n_paths, seed, 2.0, chunk)
     assert np.array_equal(e_red, ref_red) and np.array_equal(e_op, ref_op)
     assert len(joins) == -(-n_paths // chunk) and max(joins) > 0
+
+
+def test_one_level_steps_in_a_fixed_working_set():
+    # The loop holds 7 float and 1 integer buffer of cap entries, and its
+    # per-step temporaries are a few more; a loop that allocates each step's
+    # arrays afresh peaks above 13 cap-sized arrays beside the exit arrays.
+    n = 10_000
+    cap = min(2 * exit_times.ENGINE_CHUNK, n)
+    fam = ExitFamily.golden(6)
+    _exit_steps(fam, 0, 100, 0, 2.0)  # numpy imports numpy.random on first use
+    tracemalloc.start()
+    try:
+        _exit_steps(fam, 0, n, 0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n + 11 * 8 * cap
 
 
 def test_shared_loop_holds_at_most_two_chunks_live(monkeypatch):
@@ -269,9 +291,9 @@ def test_single_chunk_level_pays_no_join_bookkeeping(monkeypatch):
     fam = ExitFamily.golden(6)
     _exit_steps(fam, 1, 4000, 3, 2.0)
     assert calls == []
-    # Two chunks: the spy sees the joined loop's concatenations.
+    # Two chunks: the spy sees the joined loop split its live paths by chunk.
     _exit_steps(fam, 1, 4097, 3, 2.0)
-    assert "concatenate" in calls
+    assert "searchsorted" in calls
 
 
 def test_step_cap_counts_from_each_chunks_join(monkeypatch):
@@ -306,6 +328,18 @@ def test_steps_below_the_floor_are_rejected():
     assert 6.5 < np.mean(exits) < 10.5
 
 
+def test_levels_are_scale_copies_of_one_walk(monkeypatch):
+    # W / a is one walk at every level: on streams whose key drops the level
+    # index, all six golden levels give the same exit steps.
+    monkeypatch.setattr("ncqbm.exit_times.stream_rng",
+                        lambda seed, tag, run, index, chunk: stream_rng(seed, tag, run, 0, chunk))
+    fam = ExitFamily.golden(6)
+    first = _exit_steps(fam, 0, 5000, 3, 2.0)[:2]
+    for index in range(1, 6):
+        e_red, e_op, _ = _exit_steps(fam, index, 5000, 3, 2.0)
+        assert np.array_equal(e_red, first[0]) and np.array_equal(e_op, first[1])
+
+
 def test_engines_agree_bitwise_on_shared_streams():
     fam = ExitFamily.golden(5)
     cmp = run_survival_comparison(fam, 3, n_paths=1500, seed=7)
@@ -338,6 +372,32 @@ def test_exit_step_law_matches_survival_series():
     empirical = (exits[None, :] > steps[:, None]).mean(axis=1)
     exact = np.array([exit_time_survival_exact(j * dt, a, sigma2) for j in steps])
     assert np.max(np.abs(empirical - exact)) < 1.95 / math.sqrt(n)
+
+
+# m(0) of the sampled chain by the Nystrom oracle: 16.4999842823, the same to
+# 1e-11 at 50 to 800 nodes.
+CHAIN_MEAN_EXIT_STEP = killed_walk_mean_exit_step(100)
+
+
+def test_chain_oracle_is_converged():
+    assert abs(CHAIN_MEAN_EXIT_STEP - 16.4999842823) < 1e-9
+    assert abs(killed_walk_mean_exit_step(200) - CHAIN_MEAN_EXIT_STEP) < 1e-9
+
+
+def test_pooled_exit_step_of_the_default_sweep_matches_the_chain_oracle():
+    # The six default levels are one walk: their 60,000 exit steps have the
+    # chain's mean.  |z| <= 4 fails a correct sampler with probability 6.3e-5.
+    fam = ExitFamily.golden(6)
+    exits = np.concatenate([_exit_steps(fam, i, 10_000, 0, 2.0)[0] for i in range(6)])
+    z = (exits.mean() - CHAIN_MEAN_EXIT_STEP) / (exits.std(ddof=1) / math.sqrt(exits.size))
+    assert abs(z) <= 4.0
+
+
+@pytest.mark.parametrize("index, seed", [(1, 7), (4, 8)])
+def test_mean_steps_matches_the_chain_oracle(index, seed):
+    # stderr / dt is the standard error of the mean exit step; |z| <= 4 as above.
+    est = gamma_estimate(ExitFamily.golden(6), index, n_paths=10_000, seed=seed)
+    assert abs(est.mean_steps - CHAIN_MEAN_EXIT_STEP) <= 4.0 * est.stderr / est.dt
 
 
 def test_operator_engine_stops_where_the_lattice_fold_loses_the_state():
