@@ -16,7 +16,7 @@ checks both survival rules on the same paths, step by step.
 
 import math
 
-from ncqbm.exit_times import (ExitFamily, classical_circle_benchmark,
+from ncqbm.exit_times import (DEFAULT_SIGMA2, ExitFamily, classical_circle_benchmark,
                               extract_invariants, paper_series_check,
                               run_exit_asymptotics, run_survival_comparison)
 
@@ -31,7 +31,7 @@ for level in family.levels:
 comparison = run_survival_comparison(family, index=2, n_paths=2000, seed=5)
 print(f"indicators equal   : {comparison.indicators_equal} "
       f"(max step difference {comparison.max_step_difference})")
-exact_gamma = family.levels[2].half_width ** 2 / comparison.reduced.sigma2
+exact_gamma = family.levels[2].half_width ** 2 / DEFAULT_SIGMA2
 print(f"gamma reduced      : {comparison.reduced.gamma:.6e}")
 print(f"gamma operator     : {comparison.operator.gamma:.6e} "
       f"(tail {comparison.operator.tail:.2e})")

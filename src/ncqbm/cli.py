@@ -84,6 +84,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if not (0.0 < self.theta < 1.0):
             raise ConfigError("theta must lie strictly between 0 and 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if self.epsilon_factor <= 0.0:
             raise ConfigError("epsilon_factor must be positive")
         if self.scale_k < 1:
@@ -360,22 +362,20 @@ def cmd_semigroup_check(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
-def _series_payload(series) -> dict:
-    return {"c2": series.c2, "c2_reference": series.reference_c2,
-            "c2_matches": series.c2_matches, "c4": series.c4,
-            "c4_reference": series.reference_c4}
-
-
 def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
+    series = paper_series_check()
+    series_check = {"c2": series.c2, "c2_reference": series.reference_c2,
+                    "c2_matches": series.c2_matches, "c4": series.c4,
+                    "c4_reference": series.reference_c4}
     if cfg.analytic:
-        # Reference-constants branch: analytic quadratic/quartic coefficients
-        # instead of Monte Carlo estimates.
-        c1, c2 = 2.0 ** -5, 2.0 ** -11 / 3.0
+        # Reference-constants branch: the paper's quadratic and quartic
+        # coefficients instead of Monte Carlo estimates.
+        c1, c2 = series.reference_c2, series.reference_c4
         inv = extract_invariants(1, c1, c2)
         payload = {
-            "analytic": True, "n0": inv.n0, "c1": inv.c1, "c2": inv.c2,
+            "analytic": True, "n0": 1, "c1": c1, "c2": c2,
             "d": inv.d, "H": inv.h, "H_squared": inv.h_squared,
-            "series_check": _series_payload(paper_series_check()),
+            "series_check": series_check,
         }
         path = _write_text(cfg.out, "exit_asymptotics.json",
                            json.dumps(payload, sort_keys=True) + "\n")
@@ -390,16 +390,16 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
     # unless the rules gave equal exit steps on every path.
     warnings = []
     agreement = []
-    for i, est in enumerate(report.estimates):
+    for level, est in zip(family.levels, report.estimates):
         red, op = est.survival.reduced, est.survival.operator
-        agreement.append({"v": est.v, "reduced": red.gamma, "operator": op.gamma,
+        agreement.append({"v": level.v, "reduced": red.gamma, "operator": op.gamma,
                           "masks_equal": est.survival.indicators_equal,
                           "gap": op.gamma - red.gamma, "tail": op.tail})
         if not est.survival.indicators_equal:
-            warnings.append(f"level {i}: survival rules disagree, first at step "
+            warnings.append(f"level {level.index}: survival rules disagree, first at step "
                             f"{est.survival.first_disagreement}")
-        if op.truncation_flagged:
-            warnings.append(f"level {i}: operator tail above 1% of gamma")
+        if op.tail > 0.01 * op.gamma:
+            warnings.append(f"level {level.index}: operator tail above 1% of gamma")
     if fit is None:
         warnings.append(f"fit failed: {report.fit_error}")
     elif not fit.c2_resolved:
@@ -407,8 +407,8 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
     ok = fit is not None and all(row["masks_equal"] for row in agreement)
     summary = {
         "theta": family.theta,
-        "engine": report.estimates[0].engine,
-        "series_check": _series_payload(report.series),
+        "engine": "reduced",
+        "series_check": series_check,
         "engine_agreement": agreement,
         "warnings": warnings,
     }

@@ -122,14 +122,6 @@ class ExitLevel:
     v: float
 
     @property
-    def epsilon(self) -> float:
-        return self.v / 2.0
-
-    @property
-    def state_angle(self) -> float:
-        return 3.0 * self.v / 4.0
-
-    @property
     def half_width(self) -> float:
         """Distance from the state angle to either plateau edge."""
         return self.v / 4.0
@@ -282,16 +274,11 @@ def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2:
 class GammaEstimate:
     gamma: float
     stderr: float
-    engine: str
-    v: float
     n_paths: int
     dt: float
-    sigma2: float
-    seed: int
     # Realized tail dt * (mean((e - J)+) - s_end / 2) that the operator's
     # truncated survival integral leaves out at horizon J; 0 for reduced.
     tail: float
-    truncation_flagged: bool
     mean_steps: float
     # The level's comparison of both rules on the paths this estimate came
     # from; set on the estimates gamma_estimate returns.
@@ -308,8 +295,7 @@ def _quantile_floor(values: np.ndarray, q: float) -> int:
     return int(hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t)
 
 
-def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: float,
-                      sigma2: float, seed: int) -> GammaEstimate:
+def _gamma_from_exits(exits: np.ndarray, engine: str, dt: float) -> GammaEstimate:
     """Mean exit time estimate from the exit steps of one level's paths.
 
     Both estimators place an exit half a step before the grid point that
@@ -334,9 +320,7 @@ def _gamma_from_exits(exits: np.ndarray, engine: str, level: ExitLevel, dt: floa
         gamma = rect - dt * (1.0 - s_end) / 2.0
         stderr = float(np.std(capped.astype(float) * dt, ddof=1) / math.sqrt(n_paths))
         tail = dt * (float(np.mean(exits - capped)) - s_end / 2.0)
-    return GammaEstimate(gamma=gamma, stderr=stderr, engine=engine, v=level.v,
-                         n_paths=n_paths, dt=dt, sigma2=sigma2, seed=seed, tail=tail,
-                         truncation_flagged=tail > 0.01 * gamma,
+    return GammaEstimate(gamma=gamma, stderr=stderr, n_paths=n_paths, dt=dt, tail=tail,
                          mean_steps=float(np.mean(exits)))
 
 
@@ -358,7 +342,6 @@ def _compare_rules(family: ExitFamily, index: int, n_paths: int, seed: int,
     Per-path survival indicators are determined by the exit step, so exact
     equality of the exit steps is exact equality of the indicator processes.
     """
-    level = family.levels[index]
     e_red, e_op, dt = _exit_steps(family, index, n_paths, seed, sigma2)
     differ = e_red != e_op
     # A path whose rules disagree stopped at the step where one failed.
@@ -367,8 +350,8 @@ def _compare_rules(family: ExitFamily, index: int, n_paths: int, seed: int,
         indicators_equal=first is None,
         max_step_difference=int(np.abs(e_red - e_op).max(initial=0)),
         first_disagreement=first,
-        reduced=_gamma_from_exits(e_red, "reduced", level, dt, sigma2, seed),
-        operator=_gamma_from_exits(e_op, "operator", level, dt, sigma2, seed))
+        reduced=_gamma_from_exits(e_red, "reduced", dt),
+        operator=_gamma_from_exits(e_op, "operator", dt))
 
 
 def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
@@ -469,9 +452,6 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
 
 @dataclass
 class InvariantReport:
-    n0: int
-    c1: float
-    c2: float
     alpha: float
     d: float
     h_squared: float
@@ -500,8 +480,7 @@ def extract_invariants(n0: int, c1: float, c2: float,
     imaginary = h2 < 0.0
     h = math.sqrt(h2) if not imaginary else math.sqrt(-h2)
     d_stderr = None if c1_stderr is None else (d - 1.0) * c1_stderr / c1
-    return InvariantReport(n0=n0, c1=c1, c2=c2, alpha=alpha, d=d,
-                           h_squared=h2, h=h, h_imaginary=imaginary,
+    return InvariantReport(alpha=alpha, d=d, h_squared=h2, h=h, h_imaginary=imaginary,
                            d_stderr=d_stderr)
 
 
@@ -556,19 +535,16 @@ class CircleBenchmark:
     h_squared: float
 
 
-def classical_circle_benchmark(eps_list: Optional[Sequence[float]] = None,
-                               sigma2: float = DEFAULT_SIGMA2) -> CircleBenchmark:
+def classical_circle_benchmark() -> CircleBenchmark:
     """Exit times from chordal caps of the unit circle, extraction sanity check.
 
     A cap of chordal radius eps has geodesic half-width a = 2 arcsin(eps/2);
     the exact mean exit time a^2/sigma2 fitted as c1 eps^2 + c2 eps^4 must
     recover dimension d = 1 + 1/(2 c1) = 2 and H^2 = 8 (d+1) c2 = 1 for the
-    unit circle at sigma2 = 2.
+    unit circle at sigma2 = 2, for eight radii from 0.02 to 0.2 in geometric steps.
     """
-    if eps_list is None:
-        eps_list = np.geomspace(0.02, 0.2, 8)
-    eps = [float(e) for e in eps_list]
-    means = [exit_time_oracle_exact(2.0 * math.asin(e / 2.0), sigma2) for e in eps]
+    eps = [float(e) for e in np.geomspace(0.02, 0.2, 8)]
+    means = [exit_time_oracle_exact(2.0 * math.asin(e / 2.0), DEFAULT_SIGMA2) for e in eps]
     fit = fit_asymptotics([(e, m, 0.0) for e, m in zip(eps, means)])
     d = 1.0 + 1.0 / (2.0 * fit.c1)
     h2 = 8.0 * (d + 1.0) * fit.c2
@@ -581,12 +557,10 @@ def classical_circle_benchmark(eps_list: Optional[Sequence[float]] = None,
 
 @dataclass
 class AsymptoticsReport:
-    family: ExitFamily
     estimates: list[GammaEstimate]
     # None, with the reason in fit_error, when the estimates show no power law.
     fit: Optional[AsymptoticsFit]
     invariants: Optional[InvariantReport]
-    series: SeriesCheck
     fit_error: Optional[str] = None
 
 
@@ -603,10 +577,9 @@ def run_exit_asymptotics(family: ExitFamily, n_paths: int = 10_000, seed: int = 
                  for i in range(len(family.levels))]
     fit = invariants = error = None
     try:
-        fit = fit_asymptotics([(e.v, e.gamma, e.stderr) for e in estimates])
+        fit = fit_asymptotics([(v, e.gamma, e.stderr) for v, e in zip(family.v, estimates)])
         invariants = extract_invariants(fit.n0, fit.c1, fit.c2, fit.c1_stderr)
     except NoAsymptoticDetected as exc:
         error = str(exc)
-    return AsymptoticsReport(family=family, estimates=estimates, fit=fit,
-                             invariants=invariants, series=paper_series_check(),
+    return AsymptoticsReport(estimates=estimates, fit=fit, invariants=invariants,
                              fit_error=error)

@@ -120,21 +120,15 @@ def sample_path(dim: int, horizon: float, dt: float, sigma2: float,
 
 @dataclass(frozen=True)
 class SemigroupSpec:
-    """Heat semigroup parameters: variance rate sigma2, optional drift (mu, nu)."""
+    """Heat semigroup parameters: variance rate sigma2 and drift (mu, nu)."""
 
     sigma2: float
-    drift: Optional[tuple[float, float]] = None
+    drift: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         if self.sigma2 <= 0.0:
             raise ValueError("sigma2 must be positive")
-        if self.drift is not None:
-            object.__setattr__(self, "drift",
-                               (float(self.drift[0]), float(self.drift[1])))
-
-    @property
-    def drift_vector(self) -> tuple[float, float]:
-        return self.drift if self.drift is not None else (0.0, 0.0)
+        object.__setattr__(self, "drift", (float(self.drift[0]), float(self.drift[1])))
 
 
 def flow_apply(a: TorusElement, path: BrownianPath, t: float) -> TorusElement:
@@ -154,7 +148,7 @@ def flow_apply(a: TorusElement, path: BrownianPath, t: float) -> TorusElement:
 
 
 def heat_multiplier(m: int, n: int, t: float, spec: SemigroupSpec) -> complex:
-    mu, nu = spec.drift_vector
+    mu, nu = spec.drift
     exponent = t * (-2.0 * math.pi ** 2 * spec.sigma2 * (m * m + n * n)
                     + 2j * math.pi * (mu * m + nu * n))
     return complex(np.exp(exponent))
@@ -180,9 +174,6 @@ class McCoefficient:
 
 @dataclass
 class McReport:
-    sigma2: float
-    n_paths: int
-    seed: int
     coefficients: list[McCoefficient]
 
     def coefficient(self, m: int, n: int) -> McCoefficient:
@@ -207,7 +198,7 @@ def vacuum_expectation_mc(a: TorusElement, t: float, spec: SemigroupSpec,
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     keys = sorted(a.coeffs)
-    mu, nu = spec.drift_vector
+    mu, nu = spec.drift
     scale = math.sqrt(spec.sigma2 * t)
     sums = {key: 0.0 + 0.0j for key in keys}
     sums_sq = {key: np.zeros(2) for key in keys}
@@ -235,5 +226,4 @@ def vacuum_expectation_mc(a: TorusElement, t: float, spec: SemigroupSpec,
         stats.append(McCoefficient(key[0], key[1], mean, stderr))
         coeffs[key] = mean
     element = TorusElement(a.context, coeffs)
-    report = McReport(sigma2=spec.sigma2, n_paths=n_paths, seed=seed, coefficients=stats)
-    return element, report
+    return element, McReport(stats)

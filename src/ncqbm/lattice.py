@@ -388,7 +388,7 @@ def meet_closed_form(spec: RieffelProjectionSpec, s: float, t: float,
 
 def compare_iterative_to_closed_form(spec: RieffelProjectionSpec, s: float, t: float,
                                      s2: float, t2: float, n: int = 2048,
-                                     max_iter: int = 500, tol: float = 1e-10
+                                     max_iter: int = 500
                                      ) -> tuple[float, MeetReport, IntervalSet]:
     """Sup-difference between the iterated meet and chi_S(U) on the grid."""
     p = build_rieffel_projection(spec, n)
@@ -396,7 +396,7 @@ def compare_iterative_to_closed_form(spec: RieffelProjectionSpec, s: float, t: f
     arcs = meet_closed_form(spec, s, t, s2, t2)
     a = translate_action(p, s, t)
     b = translate_action(p, s2, t2)
-    report = meet_pair_iterative(a, b, max_iter=max_iter, tol=tol)
+    report = meet_pair_iterative(a, b, max_iter=max_iter)
     target = indicator_banded(a.context, arcs.arcs, n)
     return supdiff(report.result, target), report, arcs
 

@@ -109,6 +109,19 @@ def test_out_of_range_config_value_is_input_error(tmp_path, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify-projection", "meet-demo", "semigroup-check",
+                                     "exit-asymptotics", "generator-check"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    # Rejected with the config, so even --print-config exits 2.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[experiment]\nseed = -1\n")
+    out = tmp_path / "out"
+    for args in (["--seed", "-1"], ["--seed", "-1", "--print-config"], ["--config", str(cfg)]):
+        assert run([command, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: seed must be a non-negative integer\n"
+    assert not out.exists()
+
+
 def test_missing_config_file_is_input_error(capsys):
     assert run(["verify-projection", "--config", "/nonexistent/cfg.ini"]) == 2
     assert "cannot read config file" in capsys.readouterr().err
@@ -313,6 +326,17 @@ def test_exit_asymptotics_fails_when_the_survival_rules_disagree(tmp_path, monke
     for i, warning in enumerate(disagree):
         assert warning.startswith(f"level {i}: survival rules disagree, first at step ")
         assert int(warning.rsplit(" ", 1)[1]) >= 1
+
+
+def test_exit_asymptotics_warns_of_an_operator_tail_above_1_percent(tmp_path, monkeypatch):
+    # Truncating the survival curve at 50% leaves out far more than 1% of
+    # gamma.  The warning reports it; the run still passes, since both rules
+    # agree on every path.
+    monkeypatch.setattr("ncqbm.exit_times.SURVIVAL_TRUNCATION", 0.5)
+    assert run(["exit-asymptotics", "--paths", "600", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "exit_asymptotics.json").read_text())
+    assert "level 0: operator tail above 1% of gamma" in payload["warnings"]
+    assert all(row["tail"] > 0.01 * row["operator"] for row in payload["engine_agreement"])
 
 
 def test_exit_asymptotics_unfittable_estimates_fail_check(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from ncqbm import exit_times
 from ncqbm.banded import RieffelProjectionSpec, build_rieffel_projection, is_projection
 from ncqbm.exit_times import (
+    DEFAULT_SIGMA2,
     AsymptoticsReport,
     ExitFamily,
     StepCapExceeded,
@@ -45,7 +46,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def projection_spec(level):
     # The projection lives in the angle variable of U^{+-k}; its effective
     # rotation parameter is the reduced angle v.
-    return RieffelProjectionSpec(theta=level.v, epsilon=level.epsilon, scale_k=1)
+    return RieffelProjectionSpec(theta=level.v, epsilon=level.v / 2.0, scale_k=1)
 
 
 # -- continued fractions ---------------------------------------------------------------
@@ -131,14 +132,12 @@ def test_golden_family_reduced_angles():
 def test_family_level_geometry():
     fam = ExitFamily.golden(4)
     for lev in fam.levels:
-        assert lev.epsilon == lev.v / 2.0
-        assert lev.state_angle == 3.0 * lev.v / 4.0
         assert lev.half_width == lev.v / 4.0
         spec = projection_spec(lev)
         assert spec.effective_angle == lev.v
-        # The state angle sits strictly inside the plateau [eps, v).
+        # The state angle 3v/4 sits strictly inside the plateau [eps, v).
         plat = plateau_set(spec)
-        assert plat.contains(lev.state_angle)
+        assert plat.contains(3.0 * lev.v / 4.0)
         assert abs(plat.measure() - lev.v / 2.0) < 1e-15
 
 
@@ -174,19 +173,18 @@ def test_exit_time_oracle():
 def test_reduced_engine_matches_exact_mean():
     fam = ExitFamily.golden(4)
     est = gamma_estimate(fam, 2, engine="reduced", n_paths=3000, seed=11)
-    exact = exit_time_mean_exact(fam.levels[2].half_width, est.sigma2)
+    exact = exit_time_mean_exact(fam.levels[2].half_width, DEFAULT_SIGMA2)
     # The bridge kill leaves no discrete-monitoring bias.
     assert abs(est.gamma - exact) < 4.0 * est.stderr
     assert 0.99 * exact < est.gamma < 1.06 * exact
     assert est.tail == 0.0
-    assert not est.truncation_flagged
 
 
 def test_default_step_count_near_target():
     fam = ExitFamily.golden(3)
     est = gamma_estimate(fam, 1, engine="reduced", n_paths=1000, seed=3)
     assert est.dt == pytest.approx(
-        exit_time_mean_exact(fam.levels[1].half_width, est.sigma2) / 16
+        exit_time_mean_exact(fam.levels[1].half_width, DEFAULT_SIGMA2) / 16
     )
     assert 13.5 < est.mean_steps < 18.5
 
@@ -210,9 +208,9 @@ def chunkwise_reference(fam, index, n_paths, seed, sigma2, chunk, steps=16, mean
     """Exit steps of one level by the chunk-by-chunk oracle, on the level's streams."""
     level = fam.levels[index]
     dt = exit_time_mean_exact(level.half_width, sigma2) / steps
-    return exit_steps_chunkwise(level.epsilon - level.state_angle, level.v - level.state_angle,
-                                dt, sigma2, n_paths, chunk, mean_exits * steps,
-                                lambda c: stream_rng(seed, 3, 0, index, c))
+    x = 3.0 * level.v / 4.0  # the state angle, in the plateau [v/2, v)
+    return exit_steps_chunkwise(level.v / 2.0 - x, level.v - x, dt, sigma2, n_paths, chunk,
+                                mean_exits * steps, lambda c: stream_rng(seed, 3, 0, index, c))
 
 
 def spy_on_steps(monkeypatch):
@@ -348,13 +346,13 @@ def test_engines_agree_bitwise_on_shared_streams():
     # Same exits, so the two integrals differ only by quadrature endpoints
     # and the truncated tail.
     assert abs(cmp.operator.gamma - cmp.reduced.gamma) < 0.01 * cmp.reduced.gamma
-    assert not cmp.operator.truncation_flagged
+    assert cmp.operator.tail <= 0.01 * cmp.operator.gamma
 
 
 def test_operator_engine_matches_exact_mean():
     fam = ExitFamily.golden(4)
     est = gamma_estimate(fam, 1, engine="operator", n_paths=3000, seed=4)
-    exact = exit_time_mean_exact(fam.levels[1].half_width, est.sigma2)
+    exact = exit_time_mean_exact(fam.levels[1].half_width, DEFAULT_SIGMA2)
     assert abs(est.gamma - exact) < 4.0 * est.stderr
     assert est.tail < 0.01 * est.gamma
 
@@ -411,8 +409,8 @@ def test_operator_engine_stops_where_the_lattice_fold_loses_the_state():
     for index in (0, 3, 5):
         level = fam.levels[index]
         spec = projection_spec(level)
-        lo = level.epsilon - level.state_angle
-        hi = level.v - level.state_angle
+        x = 3.0 * level.v / 4.0  # the state angle
+        lo, hi = level.v / 2.0 - x, level.v - x
         # Steps of a/sqrt(128) against the fold's refine threshold eps/4 =
         # a/2, so the grid values need no bridge points (a bare array has no
         # refine() and would raise).
@@ -429,8 +427,8 @@ def test_operator_engine_stops_where_the_lattice_fold_loses_the_state():
             # The half-open plateau and the engine's closed test w <= hi
             # differ only for a value on an edge; none of these is near one.
             assert np.min(np.abs(np.concatenate([w - lo, w - hi]))) > 1e-12
-            before = meet_along_path(spec, w[:exit_step], state_angle=level.state_angle)
-            through = meet_along_path(spec, w, state_angle=level.state_angle)
+            before = meet_along_path(spec, w[:exit_step], state_angle=x)
+            through = meet_along_path(spec, w, state_angle=x)
             assert before.levels_used == through.levels_used == 0
             assert before.survived
             on_grid = not lo <= w[-1] <= hi
@@ -443,7 +441,7 @@ def test_both_engines_unbiased_at_1e5_paths():
     fam = ExitFamily.golden(6)
     cmp = run_survival_comparison(fam, 4, n_paths=100_000, seed=23)
     assert cmp.indicators_equal
-    exact = exit_time_mean_exact(fam.levels[4].half_width, cmp.reduced.sigma2)
+    exact = exit_time_mean_exact(fam.levels[4].half_width, DEFAULT_SIGMA2)
     for est in (cmp.reduced, cmp.operator):
         assert abs(est.gamma - exact) < 4.0 * est.stderr
 
@@ -494,7 +492,7 @@ def test_sweep_levels_are_single_level_estimates_at_the_same_seed():
     report = run_exit_asymptotics(fam, n_paths=300, seed=12)
     for i, est in enumerate(report.estimates):
         alone = gamma_estimate(fam, i, n_paths=300, seed=12)
-        assert (est.gamma, est.stderr, est.seed) == (alone.gamma, alone.stderr, 12)
+        assert (est.gamma, est.stderr) == (alone.gamma, alone.stderr)
 
 
 def test_gamma_estimate_is_deterministic_in_seed():
@@ -504,14 +502,6 @@ def test_gamma_estimate_is_deterministic_in_seed():
     c = gamma_estimate(fam, 0, n_paths=400, seed=6)
     assert a.gamma == b.gamma and a.stderr == b.stderr
     assert a.gamma != c.gamma
-
-
-def test_aggressive_truncation_is_flagged(monkeypatch):
-    monkeypatch.setattr(exit_times, "SURVIVAL_TRUNCATION", 0.5)
-    fam = ExitFamily.golden(3)
-    est = gamma_estimate(fam, 0, engine="operator", n_paths=600, seed=2)
-    assert est.truncation_flagged
-    assert est.tail > 0.0
 
 
 def test_engine_name_validated():
@@ -637,8 +627,9 @@ def test_fit_c2_unresolved_on_noisy_data():
 def _fit_cases():
     """(v, gamma, stderr) pairs of the golden sweep, the circle benchmark and
     random noisy power laws, some with a zero stderr."""
-    sweep = run_exit_asymptotics(ExitFamily.golden(6), n_paths=10_000, seed=0)
-    yield [(e.v, e.gamma, e.stderr) for e in sweep.estimates]
+    family = ExitFamily.golden(6)
+    sweep = run_exit_asymptotics(family, n_paths=10_000, seed=0)
+    yield [(v, e.gamma, e.stderr) for v, e in zip(family.v, sweep.estimates)]
     circle = classical_circle_benchmark()
     yield [(e, m, 0.0) for e, m in zip(circle.eps, circle.means)]
     rng = np.random.default_rng(22)
@@ -743,6 +734,6 @@ def test_run_exit_asymptotics_report():
     assert abs(report.fit.slope - 2.0) < 0.1
     assert report.fit.c1 == pytest.approx(1.0 / 32.0, rel=0.15)
     assert abs(report.invariants.d - 5.0) < 0.8
-    assert report.fit_error is None and report.series.c2_matches
-    assert [lev.k for lev in report.family.levels] == [1, 2, 3, 5, 8, 13]
+    assert report.fit_error is None
+    assert [lev.k for lev in fam.levels] == [1, 2, 3, 5, 8, 13]
     assert len(report.estimates) == 6

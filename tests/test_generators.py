@@ -34,7 +34,7 @@ from ncqbm.generators import (
 
 def flow_torus_generator(spec: SemigroupSpec) -> tuple[complex, complex, complex]:
     """Generator values (l(U), l(V), l(UV)) induced by the heat semigroup."""
-    mu, nu = spec.drift_vector
+    mu, nu = spec.drift
     s = -2.0 * math.pi ** 2 * spec.sigma2
     l10 = s + 2j * math.pi * mu
     l01 = s + 2j * math.pi * nu
