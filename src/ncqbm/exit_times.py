@@ -406,8 +406,9 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
     The log-log slope picks the order n0 in 1..6 with 2/n0 nearest the slope;
     a residual above 0.25 means no clean power law: "no asymptotic detected".
     Weighted least squares uses 1/stderr^2 when standard errors are provided
-    (zero or missing stderr falls back to unit weight); when all are given,
-    the coefficient covariance (X^T W X)^{-1} yields the stderrs of c1 and c2.
+    (zero or missing stderr falls back to unit weight, and a gamma or stderr
+    that is not finite raises); when all are given, the coefficient
+    covariance (X^T W X)^{-1} yields the stderrs of c1 and c2.
     The two-column system is solved by one Gram-Schmidt QR of the weighted
     design, in elementwise arithmetic (no BLAS or LAPACK call): the
     coefficients are R^{-1} Q^T b, and (X^T W X)^{-1} = R^{-1} R^{-T}.
@@ -418,6 +419,9 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
     vs, gs, ss = np.array(pairs).T
     if not (vs.min() > 0.0 and gs.min() > 0.0):
         raise ValueError("v and gamma must be positive")
+    # An overflowed gamma or stderr would weigh its level by 0 or NaN.
+    if not (np.isfinite(gs).all() and np.isfinite(ss).all()):
+        raise ValueError("gamma and stderr must be finite")
     if vs.max() / vs.min() < 10.0 * (1.0 - 1e-9):
         raise ValueError("pairs must span at least a decade in v")
     # Log-log slope, weights by delta method (gamma/stderr)^2.
@@ -452,7 +456,6 @@ def fit_asymptotics(pairs: Sequence[tuple[float, float, float]]) -> AsymptoticsF
 
 @dataclass
 class InvariantReport:
-    alpha: float
     d: float
     h_squared: float
     h: float
@@ -469,19 +472,20 @@ def extract_invariants(n0: int, c1: float, c2: float,
     d = (1 / (2 c1)) (n0 / alpha)^{2/n0} + 1;
     H^2 = 8 (d + 1) c2 (alpha / n0)^{4/n0}.
     Negative H^2 (possible for noisy or vanishing c2) is flagged rather than
-    silently truncated.  Since d - 1 is proportional to 1/c1, the delta
-    method gives stderr(d) = (d - 1) stderr(c1) / c1.
+    silently truncated; a d or H^2 that is not finite raises.  Since d - 1 is
+    proportional to 1/c1, the delta method gives stderr(d) = (d - 1) stderr(c1) / c1.
     """
     if n0 < 1 or c1 <= 0.0:
         raise ValueError("need n0 >= 1 and c1 > 0")
     alpha = 2.0 * math.gamma(0.5) ** n0 / math.gamma(n0 / 2.0)
     d = (1.0 / (2.0 * c1)) * (n0 / alpha) ** (2.0 / n0) + 1.0
     h2 = 8.0 * (d + 1.0) * c2 * (alpha / n0) ** (4.0 / n0)
+    if not (math.isfinite(d) and math.isfinite(h2)):
+        raise ValueError(f"d and H^2 must be finite: d = {d!r}, H^2 = {h2!r}")
     imaginary = h2 < 0.0
     h = math.sqrt(h2) if not imaginary else math.sqrt(-h2)
     d_stderr = None if c1_stderr is None else (d - 1.0) * c1_stderr / c1
-    return InvariantReport(alpha=alpha, d=d, h_squared=h2, h=h, h_imaginary=imaginary,
-                           d_stderr=d_stderr)
+    return InvariantReport(d=d, h_squared=h2, h=h, h_imaginary=imaginary, d_stderr=d_stderr)
 
 
 # -- reference checks ------------------------------------------------------------------------
@@ -494,7 +498,6 @@ class SeriesCheck:
     reference_c2: float
     reference_c4: float
     c2_matches: bool
-    note: str
 
 
 def paper_series_check() -> SeriesCheck:
@@ -519,9 +522,7 @@ def paper_series_check() -> SeriesCheck:
     ref2, ref4 = 1.0 / 32.0, 1.0 / 6144.0
     return SeriesCheck(
         c2=c2, c4=c4, reference_c2=ref2, reference_c4=ref4,
-        c2_matches=abs(c2 - ref2) <= 1e-8,
-        note=("v^4 coefficient computed from the series is reported, not "
-              "asserted; the quartic terms of the two summands cancel."))
+        c2_matches=abs(c2 - ref2) <= 1e-8)
 
 
 @dataclass

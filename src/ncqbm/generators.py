@@ -133,6 +133,18 @@ def otheta_noise_form(g: OThetaGeneratorSpec) -> np.ndarray:
     return g.a_matrix() - np.conj(z)[:, None] - z[None, :]
 
 
+def _noise_form_verdict(B: np.ndarray, conditions_hold: bool) -> dict:
+    """The report fields every noise form B shares.  Valid: B is Hermitian PSD
+    and the family's own conditions hold; QBM: valid and B invertible."""
+    herm_defect = float(np.abs(B - B.conj().T).max())
+    min_eig = float(np.linalg.eigvalsh((B + B.conj().T) / 2.0).min())
+    min_sv = float(np.linalg.svd(B, compute_uv=False).min())
+    valid = bool(conditions_hold and herm_defect <= PSD_TOL and min_eig >= -PSD_TOL)
+    return {"valid": valid, "qbm": bool(valid and min_sv > INVERTIBLE_TOL),
+            "min_eigenvalue": min_eig, "min_singular_value": min_sv,
+            "hermitian_defect": herm_defect}
+
+
 @dataclass
 class OThetaGeneratorReport:
     valid: bool
@@ -148,26 +160,14 @@ class OThetaGeneratorReport:
 def check_otheta_generator(g: OThetaGeneratorSpec) -> OThetaGeneratorReport:
     """Validity (Re z <= 0, zero diagonal of A, B PSD), QBM, bi-invariance."""
     z = g.z_vector()
-    A = g.a_matrix()
     B = otheta_noise_form(g)
-    herm_defect = float(np.abs(B - B.conj().T).max())
-    diag_defect = float(np.abs(np.diag(A)).max())
-    eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
-    min_eig = float(eigs.min())
-    min_sv = float(np.linalg.svd(B, compute_uv=False).min())
-    valid = bool(np.all(z.real <= REAL_TOL)
-                 and diag_defect <= REAL_TOL
-                 and herm_defect <= PSD_TOL
-                 and min_eig >= -PSD_TOL)
-    qbm = bool(valid and min_sv > INVERTIBLE_TOL)
+    diag_defect = float(np.abs(np.diag(g.a_matrix())).max())
     biinvariant = bool(np.all(np.abs(z - z[0]) <= REAL_TOL)
                        and abs(z[0].imag) <= REAL_TOL
                        and z[0].real <= REAL_TOL)
-    return OThetaGeneratorReport(valid=valid, qbm=qbm, biinvariant=biinvariant,
-                                 B=B, min_eigenvalue=min_eig,
-                                 min_singular_value=min_sv,
-                                 hermitian_defect=herm_defect,
-                                 diagonal_defect=diag_defect)
+    verdict = _noise_form_verdict(B, np.all(z.real <= REAL_TOL) and diag_defect <= REAL_TOL)
+    return OThetaGeneratorReport(biinvariant=biinvariant, B=B, diagonal_defect=diag_defect,
+                                 **verdict)
 
 
 # -- Schurmann machinery over free *-monomials ---------------------------------------------
@@ -368,19 +368,8 @@ def check_oplus_generator(g: OPlusGeneratorSpec) -> OPlusGeneratorReport:
     for (i, j) in pairs:
         rhs = _oplus_constraint_rhs(A, index, m, i, j)
         residual = max(residual, abs(L[i, j] + L[j, i] - rhs))
-    herm_defect = float(np.abs(B - B.conj().T).max())
-    eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
-    min_eig = float(eigs.min())
-    min_sv = float(np.linalg.svd(B, compute_uv=False).min())
-    valid = bool(residual <= CONSTRAINT_TOL
-                 and herm_defect <= PSD_TOL
-                 and min_eig >= -PSD_TOL)
-    qbm = bool(valid and min_sv > INVERTIBLE_TOL)
-    return OPlusGeneratorReport(valid=valid, qbm=qbm, B=B,
-                                min_eigenvalue=min_eig,
-                                min_singular_value=min_sv,
-                                constraint_residual=float(residual),
-                                hermitian_defect=herm_defect)
+    return OPlusGeneratorReport(B=B, constraint_residual=float(residual),
+                                **_noise_form_verdict(B, residual <= CONSTRAINT_TOL))
 
 
 # -- bi-invariance on the free orthogonal family -----------------------------------------------
@@ -635,13 +624,27 @@ def convolution_exp(C: CoalgebraMatrix, t: float) -> np.ndarray:
 # -- specs from decoded JSON -----------------------------------------------------------------------
 
 
+def _real_from_json(value) -> float:
+    """A JSON number that is not a bool and that a float holds finitely."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(real := float(value)):
+                return real
+        except OverflowError:
+            pass
+    raise ValueError("complex values must be finite numbers or [re, im] pairs of them")
+
+
 def _complex_from_json(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise ValueError("complex values must be numbers or [re, im] pairs")
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_real_from_json(value[0]), _real_from_json(value[1]))
+    return complex(_real_from_json(value))
+
+
+def _size_from_json(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("n must be an integer")
 
 
 def _complex_matrix_from_json(value, name: str) -> tuple[tuple[complex, ...], ...]:
@@ -665,12 +668,12 @@ def generator_spec_from_data(data):
             if not isinstance(z, list):
                 raise ValueError("z must be a list")
             return OThetaGeneratorSpec(
-                n=int(data["n"]),
+                n=_size_from_json(data["n"]),
                 z=tuple(_complex_from_json(x) for x in z),
                 A=_complex_matrix_from_json(data["A"], "A"))
         if kind == "oplus":
             return OPlusGeneratorSpec(
-                n=int(data["n"]),
+                n=_size_from_json(data["n"]),
                 L=_complex_matrix_from_json(data["L"], "L"),
                 A=_complex_matrix_from_json(data["A"], "A"))
     except (KeyError, TypeError) as exc:

@@ -208,10 +208,22 @@ def test_semigroup_check_matches_exact_multipliers(tmp_path):
         assert abs(c["mc"][0] - c["exact"][0]) <= 4.0 * c["stderr"] + 1e-12
 
 
+def test_semigroup_check_fails_on_a_nan_z(tmp_path, monkeypatch, capsys):
+    # max() skips a NaN after a number; the check and max_z must not.
+    monkeypatch.setattr("ncqbm.cli.heat_multiplier",
+                        lambda m, n, t, spec: complex(math.nan) if m == 1 else 1.0 + 0j)
+    assert run(["semigroup-check", "--paths", "400", "--out", str(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "semigroup_check.json").read_text())
+    assert math.isnan(payload["max_z"]) and not payload["passed"]
+    assert "max |z| = nan" in capsys.readouterr().out
+
+
 # -- exit-asymptotics ------------------------------------------------------------------------
 
 # exit_asymptotics.json carries the fit keys only when there is a fit.
-_SUMMARY_KEYS = {"theta", "engine", "series_check", "engine_agreement", "warnings"}
+_SUMMARY_KEYS = {"theta", "series_check", "engine_agreement", "warnings"}
+_SERIES_KEYS = {"c2", "c2_reference", "c2_matches", "c4", "c4_reference",
+                "d_reference", "H_reference"}
 _FIT_KEYS = {"slope", "n0", "c1", "c2", "c1_stderr", "c2_stderr",
              "d", "d_stderr", "H", "H_squared", "H_imaginary"}
 
@@ -232,9 +244,7 @@ def test_exit_asymptotics_csv_json_and_replay(tmp_path):
     assert len(lines) == 7
     payload = json.loads(json_a)
     assert set(payload) == _SUMMARY_KEYS | _FIT_KEYS
-    assert payload["engine"] == "reduced"
-    assert set(payload["series_check"]) == {"c2", "c2_reference", "c2_matches",
-                                            "c4", "c4_reference"}
+    assert set(payload["series_check"]) == _SERIES_KEYS
     assert payload["n0"] == 1
     assert len(payload["engine_agreement"]) == 6
     assert "engine_agreement_budget" not in payload
@@ -407,20 +417,26 @@ def test_exit_asymptotics_runs_inverse_pi_at_ten_levels(tmp_path):
     assert len(payload["engine_agreement"]) == 10
 
 
-def test_exit_asymptotics_analytic_branch(tmp_path):
+def test_exit_asymptotics_analytic_key_is_input_error(tmp_path, capsys):
+    # The paper's invariants are in every run's series_check; there is no
+    # second branch to pick.
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[exit]\nanalytic = true\n")
-    assert run(["exit-asymptotics", "--config", str(cfg),
-                "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert run(["exit-asymptotics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config key [exit] analytic" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_asymptotics_series_check_holds_the_reference_invariants(tmp_path):
+    # d and H at the paper's c1 = 1/32, c2 = 1/6144, beside the fitted d.
+    assert run(["exit-asymptotics", "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "exit_asymptotics.json").read_text())
-    assert payload["analytic"] and payload["d"] == 5.0
-    assert abs(payload["H"] - 1.0 / (2.0 * math.sqrt(2.0))) < 1e-14
-    # One series_check layout for both branches.
-    sampled = tmp_path / "sampled"
-    assert run(["exit-asymptotics", "--paths", "2000", "--out", str(sampled)]) in (0, 1)
-    layout = json.loads((sampled / "exit_asymptotics.json").read_text())["series_check"]
-    assert payload["series_check"] == layout
-    assert set(layout) == {"c2", "c2_reference", "c2_matches", "c4", "c4_reference"}
+    series = payload["series_check"]
+    assert set(series) == _SERIES_KEYS
+    assert series["d_reference"] == 5.0
+    assert abs(series["H_reference"] - 1.0 / (2.0 * math.sqrt(2.0))) < 1e-14
+    assert abs(payload["d"] - series["d_reference"]) < 5.0 * payload["d_stderr"]
 
 
 def test_exit_asymptotics_runs_without_numpy_linalg(tmp_path, monkeypatch):
@@ -508,7 +524,52 @@ def test_generator_check_malformed_json_is_input_error(tmp_path, capsys):
     assert "malformed JSON" in err and "line" in err
 
 
+def test_generator_check_non_finite_number_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "gen.json"
+    spec.write_text('{"type": "torus", "l10": NaN, "l01": -1.0, "l11": -2.0}')
+    out = tmp_path / "out"
+    assert run(["generator-check", str(spec), "--out", str(out)]) == 2
+    assert "finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generator_check_missing_file_is_input_error(tmp_path, capsys):
     assert run(["generator-check", str(tmp_path / "absent.json"),
                 "--out", str(tmp_path)]) == 2
     assert "cannot read spec file" in capsys.readouterr().err
+
+
+# -- contract: a wrong number never exits 0 ---------------------------------------------------
+
+_SPEC = '{"type": "otheta", "n": %s, "z": [%s, -1.0], "A": [[0.0, 0.0], [0.0, 0.0]]}'
+_BAD_INPUTS = {
+    "semigroup-drift": ("semigroup-check", "[flow]\ndrift_mu = 1e308\n"),
+    "semigroup-sigma2": ("semigroup-check", "[flow]\nsigma2 = 1e308\ntime = 10\n"),
+    "exit-sigma2-denormal": ("exit-asymptotics", "[exit]\nsigma2 = 5e-324\n"),
+    "exit-sigma2-huge": ("exit-asymptotics", "[exit]\nsigma2 = 1e308\n"),
+    "exit-sigma2-tiny": ("exit-asymptotics", "[exit]\nsigma2 = 1e-300\n"),
+    "spec-true": ("generator-check", '{"type": "torus", "l10": true, "l01": -1.0, "l11": -2.0}'),
+    "spec-nan": ("generator-check", '{"type": "torus", "l10": NaN, "l01": -1.0, "l11": -2.0}'),
+    "spec-infinity": ("generator-check", _SPEC % (1, "Infinity")),
+    "spec-huge-integer": ("generator-check", _SPEC % (1, "-1" + "0" * 400)),
+    "spec-n-float": ("generator-check", _SPEC % ("1.7", "-1.0")),
+    "spec-n-bool": ("generator-check", _SPEC % ("true", "-1.0")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_exits_nonzero_without_a_traceback(tmp_path, case):
+    # In a subprocess, so numpy's overflow warnings print instead of raising.
+    import ncqbm
+
+    command, text = _BAD_INPUTS[case]
+    path = tmp_path / ("spec.json" if command == "generator-check" else "cfg.ini")
+    path.write_text(text)
+    args = [str(path)] if command == "generator-check" else ["--config", str(path)]
+    env = {**os.environ, "PYTHONPATH": str(Path(ncqbm.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "ncqbm.cli", command, *args,
+                          "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode in (1, 2), (out.stdout, out.stderr)
+    assert "Traceback" not in out.stderr
+    assert "-> OK" not in out.stdout

@@ -693,5 +693,21 @@ def test_json_malformed_inputs():
         generator_spec_from_data({"type": "torus", "l10": -1.0})
     with pytest.raises(ValueError, match="complex"):
         generator_spec_from_data({"type": "torus", "l10": "x", "l01": -1.0, "l11": 0.0})
+    # Only finite, non-bool numbers that a float holds: not true, NaN,
+    # Infinity or an integer beyond float range, alone or in an [re, im] pair.
+    for bad in (True, math.nan, math.inf, -math.inf, 10 ** 400, [0.0, math.nan], [False, 0.0]):
+        with pytest.raises(ValueError, match="complex"):
+            generator_spec_from_data({"type": "torus", "l10": bad, "l01": -1.0, "l11": 0.0})
+        with pytest.raises(ValueError, match="complex"):
+            generator_spec_from_data({"type": "otheta", "n": 1, "z": [-1.0, -1.0],
+                                      "A": [[0.0, bad], [0.0, 0.0]]})
+    # n is a JSON integer, not a float or a bool.
+    for n in (1.7, 1.0, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            generator_spec_from_data({"type": "otheta", "n": n, "z": [-1.0, -1.0],
+                                      "A": [[0.0, 0.0], [0.0, 0.0]]})
+        with pytest.raises(ValueError, match="n must be an integer"):
+            generator_spec_from_data({"type": "oplus", "n": n, "L": [[0.0, 1.0], [-1.0, 0.0]],
+                                      "A": [[3.0]]})
     with pytest.raises(TypeError):
         check_generator_spec("not a spec")
