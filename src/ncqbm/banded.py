@@ -9,7 +9,8 @@ circle [0,1).  Under the locked torus conventions:
 Band functions are stored as N uniform grid samples, optionally paired with an
 exact piecewise descriptor (linear and sqrt-of-quadratic pieces, of which only
 linear ones integrate) so that analytically constructed elements evaluate
-exactly off the grid.  All norms are grid sup-norms.
+exactly off the grid.  All norms are grid sup-norms; is_projection and
+member_of_X accept residuals up to CHECK_TOL = 1e-10.
 
 The trapezoid projection lives here: a Hermitian element with bands
 {-1, 0, 1}, plateau profile f_0 and bump f_1 = sqrt(f_0 - f_0^2) on the
@@ -31,6 +32,8 @@ DEFAULT_GRID = 4096
 
 # Bands whose grid sup-norm is at or below this are dropped from the element.
 BAND_DROP_TOL = 1e-15
+# Grid sup-norm tolerance of the projection and membership checks.
+CHECK_TOL = 1e-10
 
 
 def _frac(x: float) -> float:
@@ -219,15 +222,10 @@ class BandedElement:
     __slots__ = ("context", "n", "bands", "_sups")
 
     def __init__(self, context: AlgebraContext, bands: Mapping[int, CircleFunction],
-                 n: Optional[int] = None) -> None:
+                 n: int) -> None:
         self.context = context
         kept: dict[int, CircleFunction] = {}
         sups: dict[int, float] = {}
-        sizes = {f.n for f in bands.values()}
-        if len(sizes) > 1:
-            raise ValueError("all bands must share one grid size")
-        if n is None:
-            n = sizes.pop() if sizes else DEFAULT_GRID
         self.n = n
         for k, f in bands.items():
             if f.n != n:
@@ -255,13 +253,6 @@ class BandedElement:
     def off_diagonal_sup(self) -> float:
         """Largest sup-norm among bands k != 0."""
         return max((s for k, s in self._sups.items() if k != 0), default=0.0)
-
-    def __sub__(self, other: "BandedElement") -> "BandedElement":
-        self._check(other)
-        keys = set(self.bands) | set(other.bands)
-        out = {k: CircleFunction(self.band(k).samples - other.band(k).samples)
-               for k in keys}
-        return BandedElement(self.context, out, self.n)
 
     def _check(self, other: "BandedElement") -> None:
         if self.context.theta != other.context.theta:
@@ -339,21 +330,15 @@ class ProjectionReport:
     is_projection: bool
     sup_idempotent: float
     sup_hermitian: float
-    band_residuals: dict[int, float]
     trace: complex
 
 
-def is_projection(a: BandedElement, tol: float = 1e-10) -> ProjectionReport:
-    """Checks a^2 = a and a* = a in grid sup-norm, with per-band residuals."""
-    sq = banded_mul(a, a)
-    diff = sq - a
-    band_res = diff.band_sups()
-    for k in sorted(set(a.bands) | set(sq.bands)):
-        band_res.setdefault(k, 0.0)
-    sup_sq = max(band_res.values(), default=0.0)
+def is_projection(a: BandedElement) -> ProjectionReport:
+    """Checks a^2 = a and a* = a in grid sup-norm, to CHECK_TOL."""
+    sup_sq = supdiff(banded_mul(a, a), a)
     sup_st = supdiff(star_banded(a), a)
-    ok = sup_sq <= tol and sup_st <= tol
-    return ProjectionReport(ok, sup_sq, sup_st, band_res, trace_banded(a))
+    ok = sup_sq <= CHECK_TOL and sup_st <= CHECK_TOL
+    return ProjectionReport(ok, sup_sq, sup_st, trace_banded(a))
 
 
 @dataclass
@@ -363,15 +348,15 @@ class MembershipReport:
     pairing_residual: float
 
 
-def member_of_X(a: BandedElement, tol: float = 1e-10) -> MembershipReport:
-    """Membership in the Hermitian three-band class.
+def member_of_X(a: BandedElement) -> MembershipReport:
+    """Membership in the Hermitian three-band class, to CHECK_TOL.
 
-    Requires bands outside {-1, 0, 1} below tol, a real band 0, and the
-    Hermitian pairing f_{-1}(t) = conj(f_1(t + theta)).  The pairing needs
-    f_1 at off-grid points: exact when band 1 carries a descriptor, linearly
-    interpolated otherwise, so for grid-only elements the residual carries an
-    interpolation term of order (slope of f_1) / n and callers should pick tol
-    accordingly.
+    Requires bands outside {-1, 0, 1} below the tolerance, a real band 0,
+    and the Hermitian pairing f_{-1}(t) = conj(f_1(t + theta)).  The pairing
+    needs f_1 at off-grid points: exact when band 1 carries a descriptor,
+    linearly interpolated otherwise, so for grid-only elements the residual
+    carries an interpolation term of order (slope of f_1) / n, which the
+    report's far_band_sup and pairing_residual let a caller weigh.
     """
     theta = a.context.theta
     x = grid(a.n)
@@ -379,7 +364,7 @@ def member_of_X(a: BandedElement, tol: float = 1e-10) -> MembershipReport:
     herm0 = float(np.max(np.abs(np.imag(a.band(0).samples)))) if a.bands.get(0) else 0.0
     f1_shift = a.band(1).eval_at(x + theta)
     pairing = float(np.max(np.abs(a.band(-1).samples - np.conj(f1_shift))))
-    ok = far <= tol and pairing <= tol and herm0 <= tol
+    ok = far <= CHECK_TOL and pairing <= CHECK_TOL and herm0 <= CHECK_TOL
     return MembershipReport(ok, far, pairing)
 
 

@@ -11,7 +11,8 @@ the plateau by the first Brownian component, so the state survives exactly
 while the running translate keeps x_n inside: a first-exit problem for W from
 [-v_n/4, v_n/4], with closed-form mean a^2 / sigma^2 at half-width a.
 
-The paths are stepped at STEPS_PER_MEAN_EXIT = 16 steps per mean exit time.
+The paths are stepped at STEPS_PER_MEAN_EXIT = 16 steps per mean exit time
+(at least 8 keep the mid-step estimators and the one-edge bridge kill valid).
 A step that ends inside the interval still kills the path with the
 Brownian-bridge probability of having crossed an edge between its two grid
 points (Baldi 1995; Gobet 2000), so the exit step has the law of the
@@ -63,15 +64,14 @@ from .flow import stream_rng
 
 DEFAULT_SIGMA2 = 2.0
 # Steps of a/4, whose grid-monitoring bias (~2 * 0.5826 / 4 ~ 29%) the bridge kill removes.
+# It must stay at least 8: a coarser grid samples a level too coarsely for the
+# mid-step estimators and the one-edge bridge kill to hold.
 STEPS_PER_MEAN_EXIT = 16
 SURVIVAL_TRUNCATION = 1e-4
 # Paths per stream key, and half the bound on the live paths of the stepping loop.
 ENGINE_CHUNK = 4096
 # A chunk that runs this many mean exit times since it joined the loop is cut off.
 MAX_MEAN_EXITS = 4096
-# Fewer steps per mean exit than this sample a level too coarsely for the
-# mid-step estimators and the one-edge bridge kill to hold.
-MIN_MEAN_STEPS = 8
 
 
 # -- continued fractions and the family -----------------------------------------------
@@ -187,13 +187,15 @@ def _operator_rule(run_min: np.ndarray, run_max: np.ndarray, u: np.ndarray,
     return (run_min >= lo) & (run_max <= hi) & (u >= p_hi + p_lo)
 
 
-def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2: float,
-                steps: int = STEPS_PER_MEAN_EXIT) -> tuple[np.ndarray, np.ndarray, float]:
+def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int,
+                sigma2: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Exit step of each path at one level under the reduced and the operator
     rule, and the step length dt = (a^2 / sigma2) / steps.
 
     Paths walk in units of the half-width a, from 0 out of [-1, 1] by
-    z / sqrt(steps), at `steps` >= MIN_MEAN_STEPS steps per mean exit time.
+    z / sqrt(steps), at steps = STEPS_PER_MEAN_EXIT per mean exit time.
+    A dt whose square overflows raises before any sampling: the stderr
+    squares deviations of the order of dt, so it would overflow too.
     The chunks of ENGINE_CHUNK paths share one stepping loop: a chunk joins at
     the first step at which it fits under 2 ENGINE_CHUNK live paths, and its
     exit steps and MAX_MEAN_EXITS cap count from there.  Each step every chunk
@@ -210,9 +212,11 @@ def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int, sigma2:
     still held; so the two arrays are equal exactly when the rules agree on
     every path.
     """
-    if steps < MIN_MEAN_STEPS:
-        raise ValueError(f"steps per mean exit must be at least {MIN_MEAN_STEPS}")
+    steps = STEPS_PER_MEAN_EXIT
     dt = exit_time_oracle_exact(family.levels[index].half_width, sigma2) / steps
+    if not math.isfinite(dt * dt):
+        raise ValueError(f"exit step dt = {dt!r} at level {index} overflows when "
+                         f"squared: sigma2 = {sigma2!r} is too small")
     scale, rate = 1.0 / math.sqrt(steps), -2.0 * steps
     out_red, out_op = np.zeros((2, n_paths), dtype=np.int64)
     # Live paths fill a prefix of each buffer in chunk order; idx, their path

@@ -3,10 +3,11 @@
 Two routes to the meet p wedge q of trapezoid-projection translates:
 
 * iterative: the alternating-product limit lim_k (pq)^{2^k}, computed by
-  repeated banded squaring with a residual stopping rule; each meet squares
-  with only the band products that its product plan finds can be nonzero,
-  by a squaring program built once per key set, and takes the exact
-  residual only where the band sups leave it in doubt; and
+  repeated banded squaring until the squaring residual reaches
+  MEET_TOL = 1e-10; each meet squares with only the band products that its
+  product plan finds can be nonzero, by a squaring program built once per
+  key set, and takes the exact residual only where the band sups leave it
+  in doubt; and
 
 * closed form: under the bump-disjointness hypothesis the meet of the
   translates A_{s,t}(P) and A_{s',t'}(P) is the diagonal indicator chi_S(U)
@@ -15,7 +16,8 @@ Two routes to the meet p wedge q of trapezoid-projection translates:
 Interval sets (finite unions of half-open arcs [a,b) in [0,1) mod 1) carry
 the closed-form side.  Along a sampled Brownian path, meet_along_path folds
 plateau translates and meet_along_path_operator the operator translates;
-both first refine the path until every component's step is below eps/4.
+both first refine the path until every component's step is below eps/4,
+in at most REFINE_LEVELS = 24 bridge refinements.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ from .banded import (BAND_DROP_TOL, BandedElement, CircleFunction, RieffelProjec
 def _circle_dist(a: float, b: float) -> float:
     d = _frac(a - b)
     return min(d, 1.0 - d)
+
+
+# Squaring residual at which an iterated meet counts as converged.
+MEET_TOL = 1e-10
+# Bridge refinements a path fold may take to bring every step below eps/4.
+REFINE_LEVELS = 24
 
 
 class DegenerateMeet(ValueError):
@@ -125,7 +133,7 @@ class MeetReport:
     iterations: int
     final_residual: float
     converged: bool
-    # Squaring at which the residual first reached tol (None if it never did).
+    # Squaring at which the residual first reached MEET_TOL (None if it never did).
     first_hit: Optional[int] = None
 
 
@@ -133,11 +141,11 @@ class MeetReport:
 
 
 def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
-                        tol: float = 1e-10, min_iter: int = 60) -> MeetReport:
+                        min_iter: int = 60) -> MeetReport:
     """Alternating-product meet lim (pq)^{2^k} by repeated squaring.
 
-    Stops once the squaring residual ||r^2 - r|| falls below tol, but not
-    before min_iter squarings.  A diagonal value lambda has residual
+    Stops once the squaring residual ||r^2 - r|| falls below tol = MEET_TOL,
+    but not before min_iter squarings.  A diagonal value lambda has residual
     lambda (1 - lambda), so a value within tol of 1, such as 1 - 2^-40, passes
     the residual rule at once although its limit is 0; the forced squarings
     drive it down to where the residual sees it.  Non-convergence within
@@ -174,6 +182,7 @@ def meet_pair_iterative(p: BandedElement, q: BandedElement, max_iter: int = 500,
     through the checked loop: every output equals in value that of squaring
     step by step with banded_mul.
     """
+    tol = MEET_TOL
     first = banded_mul(p, q)
     theta = first.context.theta
     bands = {k: f.samples for k, f in first.bands.items()}
@@ -407,49 +416,44 @@ def compare_iterative_to_closed_form(spec: RieffelProjectionSpec, s: float, t: f
 @dataclass
 class PathMeetResult:
     intervals: IntervalSet
-    survived: Optional[bool]
     levels_used: int
     max_increment: float
     n_points: int
 
 
-def _refine_path(path, eps: float, levels: int) -> tuple[np.ndarray, int, float]:
-    """The samples of `path` bridge-refined until every component's step is
+def _refine_path(path, eps: float) -> tuple[np.ndarray, int, float]:
+    """The samples of `path` (a BrownianPath, or anything with its 2-D
+    `values` and `refine()`) bridge-refined until every component's step is
     below eps/4, the refinements used and the largest step left.
 
-    Both path folds refine by this rule, so they meet the same samples.  A
-    bare 1-D array is its own first component.  If `levels` refinements do
-    not get there, or the path cannot refine, raises "path too rough for eps".
+    Both path folds refine by this rule, so they meet the same samples.  If
+    REFINE_LEVELS refinements do not get there, raises "path too rough for eps".
     """
     levels_used = 0
     while True:
-        values = np.asarray(getattr(path, "values", path), dtype=float)
+        values = path.values
         step = float(np.max(np.abs(np.diff(values, axis=0)))) if values.shape[0] > 1 else 0.0
         if not step >= eps / 4.0:  # NaN compares false: no refinement
             return values, levels_used, step
-        if levels_used >= levels or not hasattr(path, "refine"):
+        if levels_used >= REFINE_LEVELS:
             raise ValueError("path too rough for eps: refine below eps/4 failed")
         path = path.refine()
         levels_used += 1
 
 
-def meet_along_path(spec: RieffelProjectionSpec, path, levels: int = 24,
-                    state_angle: Optional[float] = None) -> PathMeetResult:
+def meet_along_path(spec: RieffelProjectionSpec, path) -> PathMeetResult:
     """Fold of plateau translates along a sampled Brownian path.
 
     The set is the intersection over samples s_i of the translated plateau
     [eps, theta_e) - W(s_i), where W is the first path component; it is cut
     only at the samples that set a new minimum or maximum of W.  The path
     is first bridge-refined until every component's step is below eps/4,
-    the rule meet_along_path_operator shares (_refine_path); if `levels`
+    the rule meet_along_path_operator shares (_refine_path); if REFINE_LEVELS
     refinements do not get there, raises "path too rough for eps".
     `max_increment` is the largest step left, over every component.
-
-    When state_angle is given, `survived` reports whether that angle lies in
-    the final intersection.
     """
-    values, levels_used, max_inc = _refine_path(path, spec.epsilon, levels)
-    w = values[:, 0] if values.ndim == 2 else values
+    values, levels_used, max_inc = _refine_path(path, spec.epsilon)
+    w = values[:, 0]
     plat = plateau_set(spec)
     out = IntervalSet.full()
     lo, hi = math.inf, -math.inf
@@ -462,8 +466,7 @@ def meet_along_path(spec: RieffelProjectionSpec, path, levels: int = 24,
         out = out.intersect(plat.translate(-wi))
         if out.is_empty:
             break
-    survived = out.contains(state_angle) if state_angle is not None else None
-    return PathMeetResult(out, survived, levels_used, max_inc, int(w.size))
+    return PathMeetResult(out, levels_used, max_inc, int(w.size))
 
 
 @dataclass
@@ -517,7 +520,7 @@ def _stride_factors(w: list[float], quantum: float, stride: float) -> list[int]:
 
 
 def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
-                             levels: int = 24, min_iter: int = 40) -> OperatorPathMeet:
+                             min_iter: int = 40) -> OperatorPathMeet:
     """Iterated operator meet of the projection translates along a path.
 
     The path is first bridge-refined until every component's step is below
@@ -552,8 +555,8 @@ def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
     the projection is then its converged meet.
     """
     eps = spec.epsilon
-    values, levels_used, _ = _refine_path(path, eps, levels)
-    if values.ndim != 2 or values.shape[1] != 2:
+    values, levels_used, _ = _refine_path(path, eps)
+    if values.shape[1] != 2:
         raise ValueError("operator path meet needs a 2-component path")
     factors = _stride_factors(values[:, 0].tolist(), max(eps / 16.0, 8.0 / n), eps)
     p = build_rieffel_projection(spec, n)

@@ -27,7 +27,7 @@ from ncqbm.exit_times import (
     run_exit_asymptotics,
     run_survival_comparison,
 )
-from ncqbm.flow import stream_rng
+from ncqbm.flow import BrownianPath, stream_rng
 from ncqbm.lattice import meet_along_path, plateau_set
 
 from oracles import (
@@ -194,14 +194,15 @@ def test_step_cap_scales_with_steps(monkeypatch):
     # default moves it: at 1024 steps per mean exit a 16-mean-exit cap is
     # 16384 steps, where a cap tied to the default grid would stop at 16 * 64.
     monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 16)
+    monkeypatch.setattr("ncqbm.exit_times.STEPS_PER_MEAN_EXIT", 1024)
     fam = ExitFamily.golden(3)
     sigma2 = 2.0
-    exits, _, dt = _exit_steps(fam, 1, 200, 3, sigma2, steps=1024)
+    exits, _, dt = _exit_steps(fam, 1, 200, 3, sigma2)
     assert dt == exit_time_mean_exact(fam.levels[1].half_width, sigma2) / 1024
     assert exits.max() > 16 * 64
     monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 1)
     with pytest.raises(RuntimeError, match="step cap"):
-        _exit_steps(fam, 1, 200, 3, sigma2, steps=1024)
+        _exit_steps(fam, 1, 200, 3, sigma2)
 
 
 def chunkwise_reference(fam, index, n_paths, seed, sigma2, chunk, steps=16, mean_exits=4096):
@@ -316,14 +317,23 @@ def test_step_cap_counts_from_each_chunks_join(monkeypatch):
         _exit_steps(fam, 2, n, seed, 2.0)
 
 
-def test_steps_below_the_floor_are_rejected():
-    # Mean exit step is steps + 1/2, so the floor is checked before sampling.
-    fam = ExitFamily.golden(3)
-    with pytest.raises(ValueError, match="at least 8"):
-        _exit_steps(fam, 1, 200, 3, 2.0, steps=7)
-    exits, _, dt = _exit_steps(fam, 1, 200, 3, 2.0, steps=8)
-    assert dt == exit_time_mean_exact(fam.levels[1].half_width, 2.0) / 8
-    assert 6.5 < np.mean(exits) < 10.5
+@pytest.mark.parametrize("sigma2", [1e-300, 5e-324])
+def test_overflowing_exit_step_is_rejected_before_sampling(sigma2, monkeypatch):
+    # dt^2 overflows, so the stderr could not be finite: no stream is made.
+    made = []
+    monkeypatch.setattr("ncqbm.exit_times.stream_rng", lambda *key: made.append(key))
+    with pytest.raises(ValueError, match="overflows when squared"):
+        _exit_steps(ExitFamily.golden(6), 0, 100, 0, sigma2)
+    assert made == []
+
+
+def test_exit_step_whose_square_is_finite_is_sampled():
+    # At sigma2 = 1e-150 dt is about 5e144 and dt^2 stays finite; the exit
+    # steps do not depend on sigma2.
+    fam = ExitFamily.golden(6)
+    exits, _, dt = _exit_steps(fam, 5, 200, 3, 1e-150)
+    assert math.isfinite(dt * dt) and dt > 1e140
+    assert np.array_equal(exits, _exit_steps(fam, 5, 200, 3, 2.0)[0])
 
 
 def test_levels_are_scale_copies_of_one_walk(monkeypatch):
@@ -398,7 +408,7 @@ def test_mean_steps_matches_the_chain_oracle(index, seed):
     assert abs(est.mean_steps - CHAIN_MEAN_EXIT_STEP) <= 4.0 * est.stderr / est.dt
 
 
-def test_operator_engine_stops_where_the_lattice_fold_loses_the_state():
+def test_operator_engine_stops_where_the_lattice_fold_loses_the_state(monkeypatch):
     # The fold of plateau translates [eps, v) - W along the grid values keeps
     # the state angle while every value lies in [lo, hi); the engine also
     # kills on the bridge, so it stops at or before the fold's first loss,
@@ -412,12 +422,12 @@ def test_operator_engine_stops_where_the_lattice_fold_loses_the_state():
         x = 3.0 * level.v / 4.0  # the state angle
         lo, hi = level.v / 2.0 - x, level.v - x
         # Steps of a/sqrt(128) against the fold's refine threshold eps/4 =
-        # a/2, so the grid values need no bridge points (a bare array has no
-        # refine() and would raise).
+        # a/2, so the grid values need no bridge points.
+        monkeypatch.setattr("ncqbm.exit_times.STEPS_PER_MEAN_EXIT", 128)
         dt = exit_time_mean_exact(level.half_width, sigma2) / 128
         scale = math.sqrt(sigma2 * dt)
         for seed in range(40):
-            _, (exit_step,), _ = _exit_steps(fam, index, 1, seed, sigma2, steps=128)
+            _, (exit_step,), _ = _exit_steps(fam, index, 1, seed, sigma2)
             # A one-path chunk draws one normal, then one uniform, per step.
             rng = stream_rng(seed, 3, 0, index, 0)
             w = np.zeros(exit_step + 1)
@@ -427,12 +437,14 @@ def test_operator_engine_stops_where_the_lattice_fold_loses_the_state():
             # The half-open plateau and the engine's closed test w <= hi
             # differ only for a value on an edge; none of these is near one.
             assert np.min(np.abs(np.concatenate([w - lo, w - hi]))) > 1e-12
-            before = meet_along_path(spec, w[:exit_step], state_angle=x)
-            through = meet_along_path(spec, w, state_angle=x)
+            times = np.arange(w.size) * dt
+            before = meet_along_path(
+                spec, BrownianPath(times[:exit_step], w[:exit_step], sigma2, seed))
+            through = meet_along_path(spec, BrownianPath(times, w, sigma2, seed))
             assert before.levels_used == through.levels_used == 0
-            assert before.survived
+            assert before.intervals.contains(x)
             on_grid = not lo <= w[-1] <= hi
-            assert through.survived is not on_grid
+            assert through.intervals.contains(x) is not on_grid
             deaths["grid" if on_grid else "kill"] += 1
     assert min(deaths.values()) > 0
 

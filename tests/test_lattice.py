@@ -572,10 +572,12 @@ def test_meet_report_fields():
 
 
 class StubPath:
-    """Piecewise-linear stand-in with midpoint refinement."""
+    """Piecewise-linear stand-in with midpoint refinement; 1-D values are
+    one component, as in BrownianPath."""
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
+        values = np.asarray(values, dtype=float)
+        self.values = values[:, None] if values.ndim == 1 else values
 
     def refine(self):
         v = self.values
@@ -588,10 +590,9 @@ class StubPath:
 
 def test_meet_along_path_static():
     spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
-    res = meet_along_path(spec, StubPath([0.0, 0.0, 0.0]),
-                          state_angle=(spec.epsilon + GOLDEN) / 2.0)
+    res = meet_along_path(spec, StubPath([0.0, 0.0, 0.0]))
     assert res.intervals == plateau_set(spec)
-    assert res.survived is True
+    assert res.intervals.contains((spec.epsilon + GOLDEN) / 2.0)
 
 
 def test_meet_along_path_translates():
@@ -625,24 +626,24 @@ def test_meet_along_path_refines_on_every_component():
     assert res.max_increment == eps / 8.0
 
 
-def test_meet_along_path_too_rough():
+def test_meet_along_path_too_rough(monkeypatch):
     spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    monkeypatch.setattr(lattice, "REFINE_LEVELS", 0)
     with pytest.raises(ValueError, match="path too rough"):
-        meet_along_path(spec, StubPath([0.0, 0.5]), levels=0)
+        meet_along_path(spec, StubPath([0.0, 0.5]))
 
 
 def test_meet_along_path_exit():
     spec = RieffelProjectionSpec(0.3, 0.15)
     # A walk that sweeps more than the plateau width empties the set.
-    res = meet_along_path(spec, StubPath(np.linspace(0.0, 0.2, 64)),
-                          state_angle=0.2)
+    res = meet_along_path(spec, StubPath(np.linspace(0.0, 0.2, 64)))
     assert res.intervals.is_empty
-    assert res.survived is False
+    assert not res.intervals.contains(0.2)
 
 
-def per_sample_fold(spec, path, state_angle):
+def per_sample_fold(spec, path):
     """meet_along_path's fold with one intersection per refined sample."""
-    values, levels_used, max_inc = lattice._refine_path(path, spec.epsilon, 24)
+    values, levels_used, max_inc = lattice._refine_path(path, spec.epsilon)
     w = values[:, 0]
     plat = plateau_set(spec)
     out = IntervalSet.full()
@@ -650,7 +651,7 @@ def per_sample_fold(spec, path, state_angle):
         out = out.intersect(plat.translate(-float(wi)))
         if out.is_empty:
             break
-    return out, out.contains(state_angle), levels_used, int(w.size), max_inc
+    return out, levels_used, int(w.size), max_inc
 
 
 def test_extremes_fold_matches_per_sample_fold():
@@ -658,12 +659,10 @@ def test_extremes_fold_matches_per_sample_fold():
     spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
     for k in range(100):
         path = sample_path(dim=2, horizon=0.02, dt=0.005, sigma2=1.0, seed=3000 + k)
-        for angle in (0.2, 0.4, 0.6):
-            res = meet_along_path(spec, path, state_angle=angle)
-            want = per_sample_fold(spec, path, angle)
-            assert res.intervals.arcs == want[0].arcs, (k, angle)
-            assert (res.survived, res.levels_used, res.n_points,
-                    res.max_increment) == want[1:], (k, angle)
+        res = meet_along_path(spec, path)
+        want = per_sample_fold(spec, path)
+        assert res.intervals.arcs == want[0].arcs, k
+        assert (res.levels_used, res.n_points, res.max_increment) == want[1:], k
 
 
 # -- operator path meets ------------------------------------------------------------------
@@ -767,7 +766,7 @@ def test_stride_factors_on_criterion_3_paths():
     stride_total = quantum_total = 0
     for k in range(100):
         path = sample_path(dim=2, horizon=0.02, dt=0.005, sigma2=1.0, seed=3000 + k)
-        w = lattice._refine_path(path, eps, 24)[0][:, 0].tolist()
+        w = lattice._refine_path(path, eps)[0][:, 0].tolist()
         factors = lattice._stride_factors(w, q, eps)
         # The first factor is the first sample more than q from W_0, which
         # keeps it within q + eps/4 of W_0.
