@@ -24,10 +24,9 @@ about (pi^2/8)/12/16^2 ~ 0.04% of gamma; the mean errs by only -9.8e-7 =
 In units of a every level is one killed walk, from 0 out of [-1, 1] in steps
 of sd 1/4, so the sweep measures one constant, E[exit step] / 16, six times:
 gamma_n = (E[exit step] - 1/2) / 16 * a_n^2 / sigma^2 is a power law in v by
-construction, and the fitted c2 is noise about 0.  The stepping loop runs in
-buffers allocated once per level; each chunk of ENGINE_CHUNK paths draws from
-its own stream, keyed by (seed, 3, 0, level, chunk), so no two seeds, levels
-or chunks share draws.
+construction, and the fitted c2 is noise about 0.  So all levels step in one
+loop, in buffers allocated once per call, and each chunk of ENGINE_CHUNK paths
+draws from its own stream, keyed (seed, 3, 0, level, chunk), shared by no other.
 
 One sampler runs each level once and applies two survival rules to every
 step of the same paths, as separate computations:
@@ -187,56 +186,64 @@ def _operator_rule(run_min: np.ndarray, run_max: np.ndarray, u: np.ndarray,
     return (run_min >= lo) & (run_max <= hi) & (u >= p_hi + p_lo)
 
 
-def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int,
-                sigma2: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exit step of each path at one level under the reduced and the operator
-    rule, and the step length dt = (a^2 / sigma2) / steps.
+def _exit_steps(family: ExitFamily, levels: Sequence[int], n_paths: int, seed: int,
+                sigma2: float) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """(reduced exits, operator exits, dt) of each given level: each path's exit
+    step under either rule, and the step length dt = (a^2 / sigma2) / steps.
 
     Paths walk in units of the half-width a, from 0 out of [-1, 1] by
-    z / sqrt(steps), at steps = STEPS_PER_MEAN_EXIT per mean exit time.
-    A dt whose square overflows raises before any sampling: the stderr
-    squares deviations of the order of dt, so it would overflow too.
-    The chunks of ENGINE_CHUNK paths share one stepping loop: a chunk joins at
-    the first step at which it fits under 2 ENGINE_CHUNK live paths, and its
-    exit steps and MAX_MEAN_EXITS cap count from there.  Each step every chunk
-    draws one normal, then one uniform, per live path from its stream
-    stream_rng(seed, 3, 0, index, chunk), as if stepped alone.  A step from w0
-    to w1 inside [-1, 1] still kills the path when its uniform falls below the
-    bridge probability of crossing an edge, exp(-2 steps (1 - w0)(1 - w1)) +
-    exp(-2 steps (w0 + 1)(w1 + 1)), which counts a path touching both edges in
-    one step twice (negligible at sd 1/4).  An edge term is at least 1 on a
-    step that ends beyond its edge, so a rule ignores an edge only if it drops
-    both that edge's test and its term.  A path stops at the first step at
-    which either rule fails.  Each rule's array records that step where the
-    rule failed, and the next step, a lower bound on its own exit, where it
-    still held; so the two arrays are equal exactly when the rules agree on
-    every path.
+    z / sqrt(steps), at steps = STEPS_PER_MEAN_EXIT per mean exit time.  Exit
+    steps lie in [1, cap + 1], cap = MAX_MEAN_EXITS steps, so the stderr sums
+    n_paths squared deviations below (cap dt)^2; a dt at which that bound
+    overflows raises before any level is sampled.  Each level's chunks of
+    ENGINE_CHUNK paths are chunk streams of one stepping loop, whose buffers
+    are allocated once: a chunk joins, level by level, at the first step at
+    which it fits under 2 ENGINE_CHUNK live paths, and its exit steps and cap
+    count from there.  Each step every chunk draws one normal, then one
+    uniform, per live path from stream_rng(seed, 3, 0, level, chunk), as if
+    stepped alone.  A step from w0 to w1 inside [-1, 1] still kills the path
+    when its uniform falls below the bridge probability of crossing an edge,
+    exp(-2 steps (1 - w0)(1 - w1)) + exp(-2 steps (w0 + 1)(w1 + 1)), which
+    counts a path touching both edges in one step twice (negligible at sd
+    1/4).  An edge term is at least 1 on a step that ends beyond its edge, so
+    a rule ignores an edge only if it drops both that edge's test and its
+    term.  A path stops at the first step at which either rule fails.  Each
+    rule's array records that step where the rule failed, and the next step,
+    a lower bound on its own exit, where it still held; so the two arrays are
+    equal exactly when the rules agree on every path.
     """
     steps = STEPS_PER_MEAN_EXIT
-    dt = exit_time_oracle_exact(family.levels[index].half_width, sigma2) / steps
-    if not math.isfinite(dt * dt):
-        raise ValueError(f"exit step dt = {dt!r} at level {index} overflows when "
-                         f"squared: sigma2 = {sigma2!r} is too small")
+    cap = MAX_MEAN_EXITS * steps
+    dts = [exit_time_oracle_exact(family.levels[i].half_width, sigma2) / steps for i in levels]
+    for index, dt in zip(levels, dts):
+        if not math.isfinite(n_paths * (cap * dt) * (cap * dt)):
+            raise ValueError(f"exit step dt = {dt!r} at level {index} overflows when squared "
+                             f"and summed over {n_paths} paths: sigma2 = {sigma2!r} is too small")
     scale, rate = 1.0 / math.sqrt(steps), -2.0 * steps
-    out_red, out_op = np.zeros((2, n_paths), dtype=np.int64)
-    # Live paths fill a prefix of each buffer in chunk order; idx, their path
+    # (paths, first store entry l n_paths + p, level, chunk) of each chunk, in join order.
+    pending = [(min(ENGINE_CHUNK, n_paths - p), l * n_paths + p, i, p // ENGINE_CHUNK)
+               for l, i in enumerate(levels) for p in range(0, n_paths, ENGINE_CHUNK)]
+    # The store holds minus a join step, at most len(pending) cap since each
+    # chunk is the oldest for at most cap steps, then an exit step, at most cap + 1.
+    dtype = np.int32 if (len(pending) + 1) * cap < 2 ** 31 else np.int64
+    out_red, out_op = np.zeros((2, len(levels) * n_paths), dtype=dtype)
+    # Live paths fill a prefix of each buffer in join order; idx, their entry
     # numbers, stays sorted, so a chunk's live paths are one run of it.
-    z, u, w, low, high, p_hi, p_lo = np.empty((7, min(2 * ENGINE_CHUNK, n_paths)))
+    z, u, w, low, high, p_hi, p_lo = np.empty((7, min(2 * ENGINE_CHUNK, out_red.size)))
     idx = np.empty(z.size, dtype=np.int64)
     active: list[tuple] = []  # (end, join step, stream, live paths) of each chunk
-    n = step = chunk = 0
-    while active or chunk * ENGINE_CHUNK < n_paths:
-        start, stop = chunk * ENGINE_CHUNK, min((chunk + 1) * ENGINE_CHUNK, n_paths)
-        if start < n_paths and n + stop - start <= 2 * ENGINE_CHUNK:
-            out_red[start:stop] = out_op[start:stop] = -step  # count from the join
-            active.append((stop, step, stream_rng(seed, 3, 0, index, chunk), stop - start))
-            joined = slice(n, n + stop - start)
-            idx[joined] = np.arange(start, stop)
-            w[joined] = low[joined] = high[joined] = 0.0
-            n, chunk = n + stop - start, chunk + 1
+    n = step = joined = 0
+    while active or joined < len(pending):
+        if joined < len(pending) and n + pending[joined][0] <= 2 * ENGINE_CHUNK:
+            k, start, index, chunk = pending[joined]
+            out_red[start:start + k] = out_op[start:start + k] = -step  # count from the join
+            active.append((start + k, step, stream_rng(seed, 3, 0, index, chunk), k))
+            idx[n:n + k] = np.arange(start, start + k)
+            w[n:n + k] = low[n:n + k] = high[n:n + k] = 0.0
+            n, joined = n + k, joined + 1
             continue
         step += 1
-        if step - active[0][1] > MAX_MEAN_EXITS * steps:
+        if step - active[0][1] > cap:
             raise StepCapExceeded("exit-time simulation exceeded the step cap")
         at = 0
         for _, _, rng, k in active:
@@ -271,7 +278,7 @@ def _exit_steps(family: ExitFamily, index: int, n_paths: int, seed: int,
             ends = [n] if len(active) == 1 else np.searchsorted(
                 idx[:n], [end for end, *_ in active]).tolist()
             active = [(*e[:3], b - a) for e, a, b in zip(active, [0, *ends], ends) if b > a]
-    return out_red, out_op, dt
+    return list(zip(out_red.reshape(-1, n_paths), out_op.reshape(-1, n_paths), dts))
 
 
 @dataclass
@@ -339,37 +346,30 @@ class SurvivalComparison:
     operator: GammaEstimate
 
 
-def _compare_rules(family: ExitFamily, index: int, n_paths: int, seed: int,
-                   sigma2: float) -> SurvivalComparison:
-    """Samples one level once; both estimators read the exits of their own rule.
+def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
+                   n_paths: int = 10_000, seed: int = 0, sigma2: float = DEFAULT_SIGMA2,
+                   sampled: Optional[tuple] = None) -> GammaEstimate:
+    """Monte Carlo mean exit time gamma_n for one family level, at 16 steps per
+    mean exit time (STEPS_PER_MEAN_EXIT), survival truncated at 1e-4.
 
-    Per-path survival indicators are determined by the exit step, so exact
-    equality of the exit steps is exact equality of the indicator processes.
+    `engine` picks the estimator; the estimate's `survival` holds both
+    estimators and the pathwise verdict of the same simulation.  `sampled`, the
+    level's entry of an _exit_steps call over several levels, skips sampling.
     """
-    e_red, e_op, dt = _exit_steps(family, index, n_paths, seed, sigma2)
+    if engine not in ("reduced", "operator"):
+        raise ValueError("engine must be 'reduced' or 'operator'")
+    e_red, e_op, dt = sampled or _exit_steps(family, [index], n_paths, seed, sigma2)[0]
+    # The program loads int64 kernels anyway; int32 ones would add to peak RSS.
+    e_red, e_op = e_red.astype(np.int64), e_op.astype(np.int64)
+    # Equal exit steps are equal survival indicator processes.
     differ = e_red != e_op
-    # A path whose rules disagree stopped at the step where one failed.
     first = int(np.minimum(e_red, e_op)[differ].min()) if differ.any() else None
-    return SurvivalComparison(
+    comparison = SurvivalComparison(
         indicators_equal=first is None,
         max_step_difference=int(np.abs(e_red - e_op).max(initial=0)),
         first_disagreement=first,
         reduced=_gamma_from_exits(e_red, "reduced", dt),
         operator=_gamma_from_exits(e_op, "operator", dt))
-
-
-def gamma_estimate(family: ExitFamily, index: int, engine: str = "reduced",
-                   n_paths: int = 10_000, seed: int = 0,
-                   sigma2: float = DEFAULT_SIGMA2) -> GammaEstimate:
-    """Monte Carlo mean exit time gamma_n for one family level, at 16 steps per
-    mean exit time (STEPS_PER_MEAN_EXIT), survival truncated at 1e-4.
-
-    `engine` picks the estimator; the estimate's `survival` holds both
-    estimators and the pathwise verdict of the same simulation.
-    """
-    if engine not in ("reduced", "operator"):
-        raise ValueError("engine must be 'reduced' or 'operator'")
-    comparison = _compare_rules(family, index, n_paths, seed, sigma2)
     return replace(getattr(comparison, engine), survival=comparison)
 
 
@@ -377,7 +377,7 @@ def run_survival_comparison(family: ExitFamily, index: int, n_paths: int = 2000,
                             seed: int = 0) -> SurvivalComparison:
     """Both rules on one simulation of a level, compared path by path, at
     sigma2 = 2, 16 steps per mean exit time and survival truncated at 1e-4."""
-    return _compare_rules(family, index, n_paths, seed, DEFAULT_SIGMA2)
+    return gamma_estimate(family, index, n_paths=n_paths, seed=seed).survival
 
 
 # -- asymptotics ------------------------------------------------------------------------------
@@ -573,13 +573,13 @@ def run_exit_asymptotics(family: ExitFamily, n_paths: int = 10_000, seed: int = 
                          sigma2: float = DEFAULT_SIGMA2) -> AsymptoticsReport:
     """Estimates gamma over the family, fits the power law, extracts invariants.
 
-    Each level is sampled once; its reduced estimate's `survival` holds the
-    operator estimator and the pathwise verdict.  Estimates without a power
-    law are a result, not an error: the report then has no fit and says why
-    in fit_error.
+    All levels are sampled once, in one stepping loop; a level's reduced
+    estimate's `survival` holds the operator estimator and the pathwise
+    verdict.  Estimates without a power law are a result, not an error: the
+    report then has no fit and says why in fit_error.
     """
-    estimates = [gamma_estimate(family, i, "reduced", n_paths, seed=seed, sigma2=sigma2)
-                 for i in range(len(family.levels))]
+    sampled = _exit_steps(family, range(len(family.levels)), n_paths, seed, sigma2)
+    estimates = [gamma_estimate(family, i, sampled=level) for i, level in enumerate(sampled)]
     fit = invariants = error = None
     try:
         fit = fit_asymptotics([(v, e.gamma, e.stderr) for v, e in zip(family.v, estimates)])

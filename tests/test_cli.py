@@ -354,9 +354,8 @@ def test_exit_asymptotics_unfittable_estimates_fail_check(tmp_path, monkeypatch)
     # follows no power law.  The run is a failed check with the reason, not
     # an input error without output.
     monkeypatch.setattr("ncqbm.exit_times._exit_steps",
-                        lambda family, index, n_paths, *rest, **kw:
-                        (np.full(n_paths, 20, dtype=np.int64),
-                         np.full(n_paths, 20, dtype=np.int64), 1e-3))
+                        lambda family, levels, n_paths, *rest:
+                        [(np.full(n_paths, 20), np.full(n_paths, 20), 1e-3)] * len(levels))
     assert run(["exit-asymptotics", "--paths", "2000", "--out", str(tmp_path)]) == 1
     rows = (tmp_path / "exit_asymptotics.csv").read_text().strip().split("\n")
     assert rows[0] == "n,k_n,v_n,gamma_n,stderr" and len(rows) == 7
@@ -548,6 +547,7 @@ _BAD_INPUTS = {
     "exit-sigma2-denormal": ("exit-asymptotics", "[exit]\nsigma2 = 5e-324\n"),
     "exit-sigma2-huge": ("exit-asymptotics", "[exit]\nsigma2 = 1e308\n"),
     "exit-sigma2-tiny": ("exit-asymptotics", "[exit]\nsigma2 = 1e-300\n"),
+    "exit-sigma2-stderr": ("exit-asymptotics", "[exit]\nsigma2 = 1e-156\n"),
     "spec-true": ("generator-check", '{"type": "torus", "l10": true, "l01": -1.0, "l11": -2.0}'),
     "spec-nan": ("generator-check", '{"type": "torus", "l10": NaN, "l01": -1.0, "l11": -2.0}'),
     "spec-infinity": ("generator-check", _SPEC % (1, "Infinity")),
@@ -573,3 +573,5 @@ def test_bad_input_exits_nonzero_without_a_traceback(tmp_path, case):
     assert out.returncode in (1, 2), (out.stdout, out.stderr)
     assert "Traceback" not in out.stderr
     assert "-> OK" not in out.stdout
+    if command == "exit-asymptotics":  # rejected before numpy could warn
+        assert "Warning" not in out.stderr, out.stderr

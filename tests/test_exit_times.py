@@ -170,6 +170,12 @@ def test_exit_time_oracle():
 # -- Monte Carlo engines -------------------------------------------------------------------
 
 
+def one_level(fam, index, n_paths, seed, sigma2):
+    """(reduced exits, operator exits, dt) of one level stepped alone."""
+    [sampled] = _exit_steps(fam, [index], n_paths, seed, sigma2)
+    return sampled
+
+
 def test_reduced_engine_matches_exact_mean():
     fam = ExitFamily.golden(4)
     est = gamma_estimate(fam, 2, engine="reduced", n_paths=3000, seed=11)
@@ -197,12 +203,12 @@ def test_step_cap_scales_with_steps(monkeypatch):
     monkeypatch.setattr("ncqbm.exit_times.STEPS_PER_MEAN_EXIT", 1024)
     fam = ExitFamily.golden(3)
     sigma2 = 2.0
-    exits, _, dt = _exit_steps(fam, 1, 200, 3, sigma2)
+    exits, _, dt = one_level(fam, 1, 200, 3, sigma2)
     assert dt == exit_time_mean_exact(fam.levels[1].half_width, sigma2) / 1024
     assert exits.max() > 16 * 64
     monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 1)
     with pytest.raises(RuntimeError, match="step cap"):
-        _exit_steps(fam, 1, 200, 3, sigma2)
+        one_level(fam, 1, 200, 3, sigma2)
 
 
 def chunkwise_reference(fam, index, n_paths, seed, sigma2, chunk, steps=16, mean_exits=4096):
@@ -244,34 +250,99 @@ def test_shared_loop_matches_chunks_stepped_alone(monkeypatch, chunk, n_paths, i
     monkeypatch.setattr("ncqbm.exit_times.ENGINE_CHUNK", chunk)
     fam = ExitFamily.golden(6)
     _, joins = spy_on_steps(monkeypatch)
-    e_red, e_op, dt = _exit_steps(fam, index, n_paths, seed, 2.0)
+    e_red, e_op, dt = one_level(fam, index, n_paths, seed, 2.0)
     assert dt == exit_time_mean_exact(fam.levels[index].half_width, 2.0) / 16
     ref_red, ref_op = chunkwise_reference(fam, index, n_paths, seed, 2.0, chunk)
     assert np.array_equal(e_red, ref_red) and np.array_equal(e_op, ref_op)
     assert len(joins) == -(-n_paths // chunk) and max(joins) > 0
 
 
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_levels_stepped_together_match_each_level_stepped_alone(monkeypatch, seed):
+    # Every level's chunks join one loop, several at a time across level
+    # boundaries; each level's exits are those of its own call and of the
+    # chunk-by-chunk oracle on its streams.
+    monkeypatch.setattr("ncqbm.exit_times.ENGINE_CHUNK", 64)
+    fam = ExitFamily.golden(6)
+    n = 5 * 64 + 3
+    _, joins = spy_on_steps(monkeypatch)
+    together = _exit_steps(fam, range(6), n, seed, 2.0)
+    assert len(joins) == 6 * 6 and joins == sorted(joins)
+    for index, (e_red, e_op, dt) in enumerate(together):
+        alone = one_level(fam, index, n, seed, 2.0)
+        assert dt == alone[2]
+        assert np.array_equal(e_red, alone[0]) and np.array_equal(e_op, alone[1])
+        ref_red, ref_op = chunkwise_reference(fam, index, n, seed, 2.0, 64)
+        assert np.array_equal(e_red, ref_red) and np.array_equal(e_op, ref_op)
+
+
+def test_step_cap_counts_from_each_chunks_join_across_levels(monkeypatch):
+    # Levels stepped together run far longer than any chunk's cap, yet each
+    # chunk is cut off only by its own age.
+    monkeypatch.setattr("ncqbm.exit_times.ENGINE_CHUNK", 64)
+    fam = ExitFamily.golden(6)
+    n, seed = 2 * 64, 3
+    live, joins = spy_on_steps(monkeypatch)
+    together = _exit_steps(fam, range(6), n, seed, 2.0)
+    longest = max(int(e_red.max()) for e_red, _, _ in together)
+    mean_exits = -(-longest // 16)
+    assert 16 * mean_exits < len(live) and max(joins) > 16 * mean_exits
+    monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", mean_exits)
+    capped = _exit_steps(fam, range(6), n, seed, 2.0)
+    assert all(np.array_equal(a[0], b[0]) for a, b in zip(capped, together))
+    monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", mean_exits - 1)
+    with pytest.raises(StepCapExceeded, match="step cap"):
+        _exit_steps(fam, range(6), n, seed, 2.0)
+
+
 def test_one_level_steps_in_a_fixed_working_set():
     # The loop holds 7 float and 1 integer buffer of cap entries, and its
     # per-step temporaries are a few more; a loop that allocates each step's
-    # arrays afresh peaks above 13 cap-sized arrays beside the exit arrays.
+    # arrays afresh peaks above 13 cap-sized arrays beside the int32 exit arrays.
     n = 10_000
     cap = min(2 * exit_times.ENGINE_CHUNK, n)
     fam = ExitFamily.golden(6)
-    _exit_steps(fam, 0, 100, 0, 2.0)  # numpy imports numpy.random on first use
+    one_level(fam, 0, 100, 0, 2.0)  # numpy imports numpy.random on first use
     tracemalloc.start()
     try:
-        _exit_steps(fam, 0, n, 0, 2.0)
+        one_level(fam, 0, n, 0, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * n + 11 * 8 * cap
+    assert peak < 2 * 4 * n + 11 * 8 * cap
+
+
+def test_exit_store_widens_where_join_steps_could_leave_int32(monkeypatch):
+    # A cap of 2^31 steps lets the join steps that the store holds pass int32;
+    # the int64 store gives the same exits.
+    fam = ExitFamily.golden(6)
+    narrow = one_level(fam, 2, 300, 4, 2.0)
+    monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", 2 ** 27)
+    wide = one_level(fam, 2, 300, 4, 2.0)
+    assert narrow[0].dtype == np.int32 and wide[0].dtype == np.int64
+    assert np.array_equal(narrow[0], wide[0]) and np.array_equal(narrow[1], wide[1])
+
+
+def test_six_level_sweep_steps_in_one_fixed_working_set():
+    # The same buffers of cap entries serve all six levels; only the int32
+    # exit store grows with the levels, 2 * 4 bytes per path of each.
+    n = 10_000
+    cap = 2 * exit_times.ENGINE_CHUNK
+    fam = ExitFamily.golden(6)
+    _exit_steps(fam, range(6), 100, 0, 2.0)  # numpy imports numpy.random on first use
+    tracemalloc.start()
+    try:
+        _exit_steps(fam, range(6), n, 0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 * 4 * n + 11 * 8 * cap
 
 
 def test_shared_loop_holds_at_most_two_chunks_live(monkeypatch):
     monkeypatch.setattr("ncqbm.exit_times.ENGINE_CHUNK", 64)
     live, _ = spy_on_steps(monkeypatch)
-    exits, _, _ = _exit_steps(ExitFamily.golden(6), 2, 5 * 64 + 3, 5, 2.0)
+    exits, _, _ = one_level(ExitFamily.golden(6), 2, 5 * 64 + 3, 5, 2.0)
     assert max(live) == 128
     # Stepped alone, each chunk would loop until its slowest path exits.
     assert len(live) < sum(exits[c:c + 64].max() for c in range(0, exits.size, 64))
@@ -288,10 +359,10 @@ def test_single_chunk_level_pays_no_join_bookkeeping(monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(np, name, spy)
     fam = ExitFamily.golden(6)
-    _exit_steps(fam, 1, 4000, 3, 2.0)
+    one_level(fam, 1, 4000, 3, 2.0)
     assert calls == []
     # Two chunks: the spy sees the joined loop split its live paths by chunk.
-    _exit_steps(fam, 1, 4097, 3, 2.0)
+    one_level(fam, 1, 4097, 3, 2.0)
     assert "searchsorted" in calls
 
 
@@ -303,18 +374,32 @@ def test_step_cap_counts_from_each_chunks_join(monkeypatch):
     fam = ExitFamily.golden(6)
     n, seed = 5 * 64 + 3, 5
     _, joins = spy_on_steps(monkeypatch)
-    exits, _, _ = _exit_steps(fam, 2, n, seed, 2.0)
+    exits, _, _ = one_level(fam, 2, n, seed, 2.0)
     shared_end = max(j + exits[c * 64:(c + 1) * 64].max() for c, j in enumerate(joins))
     mean_exits = -(-int(exits.max()) // 16)
     assert 16 * mean_exits < shared_end
     monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", mean_exits)
-    capped, _, _ = _exit_steps(fam, 2, n, seed, 2.0)
+    capped, _, _ = one_level(fam, 2, n, seed, 2.0)
     assert np.array_equal(capped, exits)
     assert np.array_equal(capped, chunkwise_reference(fam, 2, n, seed, 2.0, 64,
                                                       mean_exits=mean_exits)[0])
     monkeypatch.setattr("ncqbm.exit_times.MAX_MEAN_EXITS", mean_exits - 1)
     with pytest.raises(StepCapExceeded, match="step cap"):
-        _exit_steps(fam, 2, n, seed, 2.0)
+        one_level(fam, 2, n, seed, 2.0)
+
+
+def test_stderr_overflow_is_rejected_before_any_level_is_sampled(monkeypatch):
+    # At sigma2 = 1e-152 level 0's dt^2 is finite, but 10,000 squared
+    # deviations of up to MAX_MEAN_EXITS * 16 steps overflow the stderr's sum;
+    # level 5, listed first, would pass, and still no stream is made.
+    made = []
+    monkeypatch.setattr("ncqbm.exit_times.stream_rng", lambda *key: made.append(key))
+    fam = ExitFamily.golden(6)
+    dt = exit_time_mean_exact(fam.levels[0].half_width, 1e-152) / 16
+    assert math.isfinite(dt * dt)
+    with pytest.raises(ValueError, match="at level 0 overflows when squared"):
+        _exit_steps(fam, [5, 0], 10_000, 0, 1e-152)
+    assert made == []
 
 
 @pytest.mark.parametrize("sigma2", [1e-300, 5e-324])
@@ -323,7 +408,7 @@ def test_overflowing_exit_step_is_rejected_before_sampling(sigma2, monkeypatch):
     made = []
     monkeypatch.setattr("ncqbm.exit_times.stream_rng", lambda *key: made.append(key))
     with pytest.raises(ValueError, match="overflows when squared"):
-        _exit_steps(ExitFamily.golden(6), 0, 100, 0, sigma2)
+        one_level(ExitFamily.golden(6), 0, 100, 0, sigma2)
     assert made == []
 
 
@@ -331,9 +416,9 @@ def test_exit_step_whose_square_is_finite_is_sampled():
     # At sigma2 = 1e-150 dt is about 5e144 and dt^2 stays finite; the exit
     # steps do not depend on sigma2.
     fam = ExitFamily.golden(6)
-    exits, _, dt = _exit_steps(fam, 5, 200, 3, 1e-150)
+    exits, _, dt = one_level(fam, 5, 200, 3, 1e-150)
     assert math.isfinite(dt * dt) and dt > 1e140
-    assert np.array_equal(exits, _exit_steps(fam, 5, 200, 3, 2.0)[0])
+    assert np.array_equal(exits, one_level(fam, 5, 200, 3, 2.0)[0])
 
 
 def test_levels_are_scale_copies_of_one_walk(monkeypatch):
@@ -342,9 +427,9 @@ def test_levels_are_scale_copies_of_one_walk(monkeypatch):
     monkeypatch.setattr("ncqbm.exit_times.stream_rng",
                         lambda seed, tag, run, index, chunk: stream_rng(seed, tag, run, 0, chunk))
     fam = ExitFamily.golden(6)
-    first = _exit_steps(fam, 0, 5000, 3, 2.0)[:2]
+    first = one_level(fam, 0, 5000, 3, 2.0)[:2]
     for index in range(1, 6):
-        e_red, e_op, _ = _exit_steps(fam, index, 5000, 3, 2.0)
+        e_red, e_op, _ = one_level(fam, index, 5000, 3, 2.0)
         assert np.array_equal(e_red, first[0]) and np.array_equal(e_op, first[1])
 
 
@@ -374,7 +459,7 @@ def test_exit_step_law_matches_survival_series():
     fam = ExitFamily.golden(4)
     n = 20_000
     sigma2 = 2.0
-    exits, _, dt = _exit_steps(fam, 2, n, 17, sigma2)
+    exits, _, dt = one_level(fam, 2, n, 17, sigma2)
     a = fam.levels[2].half_width
     steps = np.arange(1, int(exits.max()) + 1)
     empirical = (exits[None, :] > steps[:, None]).mean(axis=1)
@@ -396,7 +481,7 @@ def test_pooled_exit_step_of_the_default_sweep_matches_the_chain_oracle():
     # The six default levels are one walk: their 60,000 exit steps have the
     # chain's mean.  |z| <= 4 fails a correct sampler with probability 6.3e-5.
     fam = ExitFamily.golden(6)
-    exits = np.concatenate([_exit_steps(fam, i, 10_000, 0, 2.0)[0] for i in range(6)])
+    exits = np.concatenate([e_red for e_red, _, _ in _exit_steps(fam, range(6), 10_000, 0, 2.0)])
     z = (exits.mean() - CHAIN_MEAN_EXIT_STEP) / (exits.std(ddof=1) / math.sqrt(exits.size))
     assert abs(z) <= 4.0
 
@@ -427,7 +512,7 @@ def test_operator_engine_stops_where_the_lattice_fold_loses_the_state(monkeypatc
         dt = exit_time_mean_exact(level.half_width, sigma2) / 128
         scale = math.sqrt(sigma2 * dt)
         for seed in range(40):
-            _, (exit_step,), _ = _exit_steps(fam, index, 1, seed, sigma2)
+            _, (exit_step,), _ = one_level(fam, index, 1, seed, sigma2)
             # A one-path chunk draws one normal, then one uniform, per step.
             rng = stream_rng(seed, 3, 0, index, 0)
             w = np.zeros(exit_step + 1)
@@ -493,7 +578,7 @@ def test_operator_rule_ignoring_the_lower_edge_is_caught(monkeypatch):
     assert cmp.max_step_difference > 0
     # A path stops where the reduced rule fails; the operator rule, which
     # still held, records the next step.
-    e_red, e_op, _ = _exit_steps(fam, 1, 500, 3, 2.0)
+    e_red, e_op, _ = one_level(fam, 1, 500, 3, 2.0)
     differ = e_red != e_op
     assert np.all(e_op[differ] == e_red[differ] + 1)
     assert cmp.first_disagreement == int(e_red[differ].min())
@@ -682,7 +767,7 @@ def test_quantile_floor_matches_numpy(q):
     rng = np.random.default_rng(7)
     arrays = [rng.integers(0, high, size=n) for n in (1, 2, 3, 10_000, *range(4, 200))
               for high in (1, 3, 40, 10 ** 6)]
-    arrays.append(_exit_steps(ExitFamily.golden(6), 2, 10_000, 0, 2.0)[1])
+    arrays.append(one_level(ExitFamily.golden(6), 2, 10_000, 0, 2.0)[1])
     for values in arrays:
         kept = values.copy()
         assert exit_times._quantile_floor(values, q) == int(np.quantile(values, q)), values
