@@ -119,11 +119,6 @@ class ExactPiecewise:
             Piece(p.start, p.length, p.kind, p.params, p.scale.conjugate())
             for p in self.pieces)
 
-    def scaled(self, z: complex) -> "ExactPiecewise":
-        return ExactPiecewise(
-            Piece(p.start, p.length, p.kind, p.params, p.scale * z)
-            for p in self.pieces)
-
     def integral(self) -> complex:
         return sum(p.scale * p.base_integral() for p in self.pieces)
 
@@ -297,13 +292,14 @@ def star_banded(a: BandedElement) -> BandedElement:
 
 def translate_action(a: BandedElement, s: float, t: float) -> BandedElement:
     """Torus translation: band k maps to f_k(s + x) e^{2 pi i k t}."""
-    x = grid(a.n)
+    x = grid(a.n) + s
     out: dict[int, CircleFunction] = {}
     for k, f in a.bands.items():
         phase = np.exp(2j * np.pi * k * t)
-        samples = f.eval_at(x + s) * phase
-        exact = f.exact.shifted(s).scaled(phase) if f.exact is not None else None
-        out[k] = CircleFunction(samples, exact)
+        exact = None if f.exact is None else ExactPiecewise(
+            Piece(_frac(p.start - s), p.length, p.kind, p.params, p.scale * phase)
+            for p in f.exact.pieces)
+        out[k] = CircleFunction(f.eval_at(x) * phase, exact)
     return BandedElement(a.context, out, a.n)
 
 

@@ -45,7 +45,8 @@ class BrownianPath:
 
     values has shape (M+1, dim); sigma2 is the variance per unit time; seed
     is the master seed the increments were derived from; level counts bridge
-    refinements applied since the initial sampling.
+    refinements applied since the initial sampling.  A folded path keeps only
+    what the folds read in _fold (lattice._refine_path), not its refinements.
     """
 
     times: np.ndarray
@@ -53,7 +54,7 @@ class BrownianPath:
     sigma2: float
     seed: int
     level: int = 0
-    _refined: Optional["BrownianPath"] = field(default=None, init=False, repr=False, compare=False)
+    _fold: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -81,23 +82,21 @@ class BrownianPath:
         """Brownian-bridge midpoint refinement; existing points are kept.
 
         The midpoint of a bridge over a step of width h has mean the average
-        of the endpoints and variance sigma2 h / 4; each path draws it once.
+        of the endpoints and variance sigma2 h / 4, drawn from stream (seed, 1, level + 1).
         """
-        if self._refined is None:
-            t, v = self.times, self.values
-            new_level = self.level + 1
-            rng = stream_rng(self.seed, 1, new_level)
-            h = np.diff(t)
-            mids = (v[:-1] + v[1:]) / 2.0
-            mids = mids + rng.normal(size=mids.shape) * np.sqrt(self.sigma2 * h / 4.0)[:, None]
-            times = np.empty(2 * t.size - 1)
-            times[::2] = t
-            times[1::2] = (t[:-1] + t[1:]) / 2.0
-            values = np.empty((2 * v.shape[0] - 1, v.shape[1]))
-            values[::2] = v
-            values[1::2] = mids
-            self._refined = BrownianPath(times, values, self.sigma2, self.seed, new_level)
-        return self._refined
+        t, v = self.times, self.values
+        new_level = self.level + 1
+        rng = stream_rng(self.seed, 1, new_level)
+        h = np.diff(t)
+        mids = (v[:-1] + v[1:]) / 2.0
+        mids = mids + rng.normal(size=mids.shape) * np.sqrt(self.sigma2 * h / 4.0)[:, None]
+        times = np.empty(2 * t.size - 1)
+        times[::2] = t
+        times[1::2] = (t[:-1] + t[1:]) / 2.0
+        values = np.empty((2 * v.shape[0] - 1, v.shape[1]))
+        values[::2] = v
+        values[1::2] = mids
+        return BrownianPath(times, values, self.sigma2, self.seed, new_level)
 
 
 def sample_path(dim: int, horizon: float, dt: float, sigma2: float,

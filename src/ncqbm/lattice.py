@@ -16,8 +16,7 @@ Two routes to the meet p wedge q of trapezoid-projection translates:
 Interval sets (finite unions of half-open arcs [a,b) in [0,1) mod 1) carry
 the closed-form side.  Along a sampled Brownian path, meet_along_path folds
 plateau translates and meet_along_path_operator the operator translates;
-both first refine the path until every component's step is below eps/4,
-in at most REFINE_LEVELS = 24 bridge refinements.
+both first refine the path by one rule (_refine_path).
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ import numpy as np
 from .banded import (BAND_DROP_TOL, BandedElement, CircleFunction, RieffelProjectionSpec,
                      _frac, _shift_stencil, banded_mul, build_rieffel_projection,
                      indicator_banded, supdiff, translate_action)
-
-
-def _circle_dist(a: float, b: float) -> float:
-    d = _frac(a - b)
-    return min(d, 1.0 - d)
 
 
 # Squaring residual at which an iterated meet counts as converged.
@@ -384,7 +378,8 @@ def meet_closed_form(spec: RieffelProjectionSpec, s: float, t: float,
             "the meet is the projection itself")
     eps = spec.epsilon
     theta_e = spec.effective_angle
-    if _circle_dist(s, s2) >= eps / 4.0:
+    d = _frac(s - s2)
+    if min(d, 1.0 - d) >= eps / 4.0:
         raise ValueError("CHI hypothesis violated: |s - s'| must be below eps/4")
     gap = _frac(theta_e + s - s2)
     if not (eps <= gap <= 1.0 - eps):
@@ -428,17 +423,24 @@ def _refine_path(path, eps: float) -> tuple[np.ndarray, int, float]:
 
     Both path folds refine by this rule, so they meet the same samples.  If
     REFINE_LEVELS refinements do not get there, raises "path too rough for eps".
+    A path with a `_fold` slot keeps only the result there, for its eps, so a
+    second fold draws and walks nothing; other objects refine on every call.
     """
-    levels_used = 0
+    if getattr(path, "_fold", None) is not None and path._fold[0] == eps:
+        return path._fold[1:]
+    fine, levels_used = path, 0
     while True:
-        values = path.values
+        values = fine.values
         step = float(np.max(np.abs(np.diff(values, axis=0)))) if values.shape[0] > 1 else 0.0
         if not step >= eps / 4.0:  # NaN compares false: no refinement
-            return values, levels_used, step
+            break
         if levels_used >= REFINE_LEVELS:
             raise ValueError("path too rough for eps: refine below eps/4 failed")
-        path = path.refine()
+        fine = fine.refine()
         levels_used += 1
+    if hasattr(path, "_fold"):
+        path._fold = (eps, values, levels_used, step)
+    return values, levels_used, step
 
 
 def meet_along_path(spec: RieffelProjectionSpec, path) -> PathMeetResult:
@@ -446,10 +448,8 @@ def meet_along_path(spec: RieffelProjectionSpec, path) -> PathMeetResult:
 
     The set is the intersection over samples s_i of the translated plateau
     [eps, theta_e) - W(s_i), where W is the first path component; it is cut
-    only at the samples that set a new minimum or maximum of W.  The path
-    is first bridge-refined until every component's step is below eps/4,
-    the rule meet_along_path_operator shares (_refine_path); if REFINE_LEVELS
-    refinements do not get there, raises "path too rough for eps".
+    only at the samples that set a new minimum or maximum of W.  The path is
+    first refined by _refine_path, as in meet_along_path_operator.
     `max_increment` is the largest step left, over every component.
     """
     values, levels_used, max_inc = _refine_path(path, spec.epsilon)
@@ -478,7 +478,7 @@ class OperatorPathMeet:
     levels_used: int
 
 
-def _stride_factors(w: list[float], quantum: float, stride: float) -> list[int]:
+def _stride_factors(w: np.ndarray, quantum: float, stride: float) -> list[int]:
     """Indices of the samples meet_along_path_operator meets, after sample 0.
 
     The first is the first sample more than `quantum` outside W_0.  After
@@ -486,9 +486,12 @@ def _stride_factors(w: list[float], quantum: float, stride: float) -> list[int]:
     the sample furthest beyond that edge since the side last folded.  It is
     folded when a later sample lies `stride` or more beyond the edge, and at
     the end of the path unless it extends the range by `quantum` or less.
-    While every step is below `stride`, each factor after the first extends
-    the folded range by some e with quantum < e < stride.
+    The scan runs once per sample `stride` beyond an edge; a side's pending
+    extreme before it is the last maximum of w - hi (or of lo - w).
     """
+    first = np.flatnonzero(np.abs(w[1:] - w[0]) > quantum)
+    if not first.size:
+        return []
     lo = hi = w[0]
     factors: list[int] = []
     pending: dict[bool, int] = {}  # side (above hi?) -> its pending extreme
@@ -496,26 +499,32 @@ def _stride_factors(w: list[float], quantum: float, stride: float) -> list[int]:
     def extension(k: int) -> float:
         return max(w[k] - hi, lo - w[k])
 
-    def fold(k: int) -> None:
+    def fold(k: int) -> None:  # if k extends the range by more than quantum
         nonlocal lo, hi
-        factors.append(k)
-        lo, hi = min(lo, w[k]), max(hi, w[k])
+        if extension(k) > quantum:
+            factors.append(k)
+            lo, hi = min(lo, w[k]), max(hi, w[k])
 
-    for i in range(1, len(w)):
-        e = extension(i)
-        if not factors:
-            if e > quantum:
-                fold(i)
-        elif e > 0.0:
-            side = w[i] > hi
-            j = pending.get(side, i)
-            if e >= stride and extension(j) > quantum:
-                fold(j)
-            if extension(i) >= extension(j):
-                pending[side] = i
+    i = int(first[0]) + 1
+    fold(i)
+    while True:
+        beyond = {True: w[i + 1:] - hi, False: lo - w[i + 1:]}
+        hits = np.flatnonzero((beyond[True] >= stride) | (beyond[False] >= stride))
+        stop = int(hits[0]) if hits.size else w.size - i - 1
+        for side, e in beyond.items():
+            top = np.fmax.reduce(e[:stop], initial=-np.inf)
+            if top > 0.0 and (side not in pending or top >= extension(pending[side])):
+                pending[side] = i + 1 + int(np.flatnonzero(e[:stop] == top)[-1])
+        if not hits.size:
+            break
+        i += 1 + stop
+        side = bool(w[i] > hi)
+        j = pending.get(side, i)
+        fold(j)
+        if extension(i) >= extension(j):
+            pending[side] = i
     for j in sorted(pending.values()):
-        if extension(j) > quantum:
-            fold(j)
+        fold(j)
     return factors
 
 
@@ -523,31 +532,27 @@ def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
                              min_iter: int = 40) -> OperatorPathMeet:
     """Iterated operator meet of the projection translates along a path.
 
-    The path is first bridge-refined until every component's step is below
-    eps/4, the rule meet_along_path shares (_refine_path), so the two folds
-    meet the same samples.  A sample whose first component lies inside the
-    folded range [lo, hi] translates the plateau onto a superset of the
-    current intersection, so meeting with it changes nothing (lattice
+    The path is first refined by _refine_path, as in meet_along_path, so the
+    two folds meet the same samples.  A sample whose first component lies
+    inside the folded range [lo, hi] translates the plateau onto a superset of
+    the current intersection, so meeting with it changes nothing (lattice
     absorption).  The first factor is the first sample more than the
     quantum q = max(eps/16, 8/n) outside W_0: a smaller extension leaves no
     spectral gap between the running meet and the new factor, and the
     squaring iteration then amplifies grid noise instead of converging.
 
-    After it, each run of extensions is folded once (_stride_factors): a
-    side's pending extreme is met only when a later sample lies at least the
-    stride eps beyond that edge, or at the end of the path, where a
-    pending extension of q or less is skipped.  Steps are below eps/4, so
-    every later factor extends the folded range by some e with q < e < eps
-    (for q < eps/4).  This is sound: once the first factor is met, the
-    running meet is a diagonal indicator chi_S(U) of an arc S inside the
-    plateau, and a translate P_w with extension e < eps puts only its upper
-    ramp over S, while that ramp's V-partner lies below S; so the meet is
-    chi_{S cap plateau_w}, and the two-translate hypothesis |s - s'| < eps/4
-    binds only the first factor, which the step bound keeps within
-    q + eps/4 of W_0.  The interval fold depends only on min W and max W, so
-    an extreme that a later one supersedes is absorbed.  Each edge still
-    lags the sampled meet by at most q, which the off-diagonal bands do not
-    see: -2/n <= trace - measure <= 2q + 2/n.
+    After it, each run of extensions is folded once, by _stride_factors with
+    the stride eps.  Steps are below eps/4, so every later factor extends the
+    folded range by some e with q < e < eps (for q < eps/4).  This is sound:
+    once the first factor is met, the running meet is a diagonal indicator
+    chi_S(U) of an arc S inside the plateau, and a translate P_w with
+    extension e < eps puts only its upper ramp over S, while that ramp's
+    V-partner lies below S; so the meet is chi_{S cap plateau_w}, and the
+    two-translate hypothesis |s - s'| < eps/4 binds only the first factor,
+    which the step bound keeps within q + eps/4 of W_0.  The interval fold
+    depends only on min W and max W, so an extreme that a later one supersedes
+    is absorbed.  Each edge still lags the sampled meet by at most q, which
+    the off-diagonal bands do not see: -2/n <= trace - measure <= 2q + 2/n.
 
     A first component that moves but never leaves [W_0 - q, W_0 + q] folds
     nothing: the result is the unmet projection, reported with
@@ -558,7 +563,7 @@ def meet_along_path_operator(spec: RieffelProjectionSpec, path, n: int = 512,
     values, levels_used, _ = _refine_path(path, eps)
     if values.shape[1] != 2:
         raise ValueError("operator path meet needs a 2-component path")
-    factors = _stride_factors(values[:, 0].tolist(), max(eps / 16.0, 8.0 / n), eps)
+    factors = _stride_factors(values[:, 0], max(eps / 16.0, 8.0 / n), eps)
     p = build_rieffel_projection(spec, n)
     r = translate_action(p, float(values[0, 0]), float(values[0, 1]))
     n_factors = 1

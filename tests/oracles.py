@@ -11,6 +11,8 @@ Oracles provided:
 * Fourier synthesis of band functions from Laurent coefficients (cross-checks
   the banded crossed-product arithmetic against the coefficient arithmetic),
 * alternating-product lattice meet for explicitly represented q x q matrices,
+* the operator path fold's stride factors by a per-sample walk, the reference
+  for the array scan in lattice._stride_factors,
 * first-exit statistics of one-dimensional Brownian motion from a symmetric
   interval (closed-form mean a^2 / sigma^2 and survival series),
 * a chunk-by-chunk exit-step sampler with its own survival tests, the
@@ -99,6 +101,45 @@ def matrix_meet(p_mat: np.ndarray, q_mat: np.ndarray, n_iter: int = 60) -> np.nd
     for _ in range(n_iter):
         r = r @ r
     return r
+
+
+def stride_factors_walk(w: list[float], quantum: float, stride: float) -> list[int]:
+    """Factor indices of the operator path fold, one sample at a time.
+
+    The first is the first sample more than `quantum` outside W_0.  After
+    it, each side of the folded range [lo, hi] keeps its pending extreme,
+    the sample furthest beyond that edge since the side last folded.  It is
+    folded when a later sample lies `stride` or more beyond the edge, and at
+    the end of the path unless it extends the range by `quantum` or less.
+    """
+    lo = hi = w[0]
+    factors: list[int] = []
+    pending: dict[bool, int] = {}  # side (above hi?) -> its pending extreme
+
+    def extension(k: int) -> float:
+        return max(w[k] - hi, lo - w[k])
+
+    def fold(k: int) -> None:
+        nonlocal lo, hi
+        factors.append(k)
+        lo, hi = min(lo, w[k]), max(hi, w[k])
+
+    for i in range(1, len(w)):
+        e = extension(i)
+        if not factors:
+            if e > quantum:
+                fold(i)
+        elif e > 0.0:
+            side = w[i] > hi
+            j = pending.get(side, i)
+            if e >= stride and extension(j) > quantum:
+                fold(j)
+            if extension(i) >= extension(j):
+                pending[side] = i
+    for j in sorted(pending.values()):
+        if extension(j) > quantum:
+            fold(j)
+    return factors
 
 
 # -- Brownian exit -------------------------------------------------------------------

@@ -45,8 +45,8 @@ def test_refine_preserves_points_and_law():
     again = BrownianPath(path.times.copy(), path.values.copy(), path.sigma2, path.seed).refine()
     assert again is not fine
     assert np.array_equal(fine.values, again.values)
-    # The path keeps its refinement, so a second fold does not draw it again.
-    assert path.refine() is fine
+    # The path keeps no refinement: each call draws the same points again.
+    assert np.array_equal(path.refine().values, fine.values)
     # Midpoint spread matches the bridge variance sigma2 h / 4 in aggregate.
     paths = [sample_path(1, 1.0, 0.125, 1.0, seed=s).refine() for s in range(300)]
     mids = np.array([p.values[1::2] - (p.values[0:-1:2] + p.values[2::2]) / 2.0

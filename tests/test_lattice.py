@@ -5,10 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncqbm import lattice
+from ncqbm import flow, lattice
 from ncqbm.banded import (BandedElement, CircleFunction, RieffelProjectionSpec,
                           banded_mul, build_rieffel_projection, indicator_banded,
                           star_banded, supdiff, translate_action)
@@ -19,7 +19,7 @@ from ncqbm.lattice import (DegenerateMeet, IntervalSet,
                            meet_pair_iterative, plateau_set)
 from ncqbm.torus import AlgebraContext
 
-from oracles import matrix_meet
+from oracles import matrix_meet, stride_factors_walk
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -756,6 +756,51 @@ def _fold_budget_holds(fold, spec, path, n):
     return -2.0 / n <= trace - meet_along_path(spec, path).intervals.measure() <= 2.0 * q + 2.0 / n
 
 
+# Steps, quantum and stride on one dyadic grid make ties exact: equal
+# extremes, and extensions equal to the quantum or to the stride.
+_DYADIC = 1.0 / 64.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(steps=st.lists(st.integers(-3, 3), max_size=120), start=st.integers(-64, 64),
+       quantum=st.integers(0, 4), stride=st.integers(1, 6))
+# An above-side pending extreme that a later sample ties after a fold below.
+@example(steps=[-1, 2, -2, -2, 2, 2], start=0, quantum=0, stride=2)
+def test_stride_factors_match_the_per_sample_walk(steps, start, quantum, stride):
+    # Each walk, its constant walk and the walk clipped to the quantum
+    # around W_0, which never leaves it: the last two fold nothing.
+    walk = np.cumsum([start] + steps) * _DYADIC
+    q, s = quantum * _DYADIC, stride * _DYADIC
+    constant = np.full_like(walk, walk[0])
+    within = np.clip(walk, walk[0] - q, walk[0] + q)
+    for w in (walk, constant, within):
+        assert lattice._stride_factors(w, q, s) == stride_factors_walk(w.tolist(), q, s)
+    assert lattice._stride_factors(constant, q, s) == lattice._stride_factors(within, q, s) == []
+
+
+def test_both_folds_draw_each_level_once_and_keep_one_array(monkeypatch):
+    # A criterion-3 path: the operator fold refines it, drawing one stream
+    # per level; the interval fold then draws nothing and walks nothing.
+    spec = RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0)
+    path = sample_path(dim=2, horizon=0.02, dt=0.005, sigma2=1.0, seed=3000)
+    calls = []
+
+    def counting_stream_rng(*key):
+        calls.append(key)
+        return stream_rng(*key)
+
+    monkeypatch.setattr(flow, "stream_rng", counting_stream_rng)
+    fold = meet_along_path_operator(spec, path, n=512)
+    arcs = meet_along_path(spec, path)
+    assert fold.levels_used == arcs.levels_used >= 1
+    assert calls == [(3000, 1, level) for level in range(1, fold.levels_used + 1)]
+    held = [x for v in vars(path).values() for x in (v if isinstance(v, tuple) else (v,))]
+    assert not any(isinstance(x, flow.BrownianPath) for x in held)
+    refined = [x for x in held if isinstance(x, np.ndarray)
+               and x is not path.times and x is not path.values]
+    assert len(refined) == 1 and refined[0].shape == (fold.n_samples, 2)
+
+
 def test_stride_factors_on_criterion_3_paths():
     # Each run of range extensions is folded once: no more factors than the
     # per-quantum rule, and each later factor extends the folded range by
@@ -767,7 +812,7 @@ def test_stride_factors_on_criterion_3_paths():
     stride_total = quantum_total = 0
     for k in range(100):
         path = sample_path(dim=2, horizon=0.02, dt=0.005, sigma2=1.0, seed=3000 + k)
-        w = lattice._refine_path(path, eps)[0][:, 0].tolist()
+        w = lattice._refine_path(path, eps)[0][:, 0]
         factors = lattice._stride_factors(w, q, eps)
         # The first factor is the first sample more than q from W_0, which
         # keeps it within q + eps/4 of W_0.
@@ -792,7 +837,7 @@ def test_stride_fold_of_a_monotone_ramp():
     q = max(eps / 16.0, 8.0 / n)
     path = _ramp(0.3, eps)
     fold = meet_along_path_operator(spec, path, n=n)
-    w = path.values[:, 0].tolist()
+    w = path.values[:, 0]
     factors = lattice._stride_factors(w, q, eps)
     assert fold.converged and fold.levels_used == 0
     assert fold.n_factors == 1 + len(factors) < _per_quantum_factor_count(w, q)
