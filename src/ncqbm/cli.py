@@ -7,9 +7,10 @@ Subcommands
     exit-asymptotics    exit-time family, power-law fit, dimension/curvature
     generator-check     validate generator specs (JSON) and bi-invariance spaces
 
-All randomness flows from a single master seed through counter-based
-streams, so every output is byte-identical given (config, seed).  Exit
-codes: 0 success, 1 a check failed, 2 invalid input or configuration.
+All randomness flows from a single master seed through keyed SFC64
+streams, so every output is byte-identical given (config, seed) within a
+version.  Exit codes: 0 success, 1 a check failed, 2 invalid input or
+configuration, a size too large to allocate among them.
 """
 
 from __future__ import annotations
@@ -301,6 +302,9 @@ def cmd_meet_demo(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
+# A drift or sigma2 * time that overflows makes a multiplier or the draws NaN;
+# its NaN z fails the check, so numpy need not warn as well.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_semigroup_check(cfg: ExperimentConfig) -> int:
     ctx = AlgebraContext(cfg.theta)
     a = (TorusElement.monomial(ctx, 1, 0)
@@ -534,7 +538,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_exit_asymptotics(cfg)
         if args.command == "generator-check":
             return cmd_generator_check(cfg, args.specs)
-    except (ConfigError, ValueError, StepCapExceeded) as exc:
+    # A MemoryError comes from a size the config asked for, such as the grid.
+    except (ConfigError, ValueError, StepCapExceeded, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -10,8 +10,8 @@ up the multiplier exp(t (-2 pi^2 sigma2 (m^2 + n^2) + 2 pi i (mu m + nu n)))
 with optional drift (mu, nu).  sigma2 is always the variance per unit time
 and is carried explicitly on paths and semigroup specs.
 
-Randomness is counter-based: every consumer derives an independent Philox
-stream from (master seed, stream tags...), so results are reproducible and
+Randomness is keyed: every consumer draws from its own SFC64 stream, seeded
+by SeedSequence(master seed, stream tags...), so results are reproducible and
 independent of scheduling.  Bridge refinement keeps already-sampled points
 and fills midpoints with the exact conditional law.
 """
@@ -30,10 +30,10 @@ MC_CHUNK = 4096
 
 
 def stream_rng(master_seed: int, *stream: int) -> np.random.Generator:
-    """Philox generator for the (seed, stream...) counter tuple."""
+    """SFC64 generator of the stream keyed SeedSequence(seed, spawn_key=stream)."""
     ss = np.random.SeedSequence(entropy=int(master_seed),
                                 spawn_key=tuple(int(s) for s in stream))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 # -- Brownian paths ------------------------------------------------------------------
@@ -189,7 +189,7 @@ def vacuum_expectation_mc(a: TorusElement, t: float, spec: SemigroupSpec,
     At a fixed time the flow depends on each path only through its endpoint
     W_t, so the estimator samples terminal values directly: W_t is Gaussian
     with mean drift * t and variance sigma2 * t per component.  Draws come in
-    fixed 4096-path chunks, one counter-derived stream per chunk, so the
+    fixed 4096-path chunks, one stream (seed, 2, chunk) per chunk, so the
     result is reproducible for a given (seed, n_paths).
     """
     if n_paths < 100:

@@ -18,7 +18,8 @@ Oracles provided:
 * a chunk-by-chunk exit-step sampler with its own survival tests, the
   reference for the exit sampler's shared stepping loop,
 * the exact mean exit step of the killed walk that sampler steps, by a
-  Gauss-Legendre Nystrom solve,
+  Gauss-Legendre Nystrom solve, and its exit-step law P(N > j) by powers of
+  the same kernel, with the chi-square tail for testing a histogram against it,
 * Taylor coefficients by central differences with one Richardson step,
 * the weighted two-coefficient power-law fit by numpy's SVD least squares
   and the inverse of the normal matrix,
@@ -215,6 +216,21 @@ def exit_steps_chunkwise(lo: float, hi: float, dt: float, sigma2: float, n_paths
     return red_exit, op_exit
 
 
+def _killed_walk_kernel(nodes: int, steps: int):
+    """Gauss-Legendre nodes x on [-1, 1] and the weighted kernel K(a, b) w_b of
+    the killed walk: the N(a, 1/steps) density at b times the bridge survival
+    max(0, 1 - exp(-2 steps (1 - a)(1 - b)) - exp(-2 steps (1 + a)(1 + b)))."""
+    x, wts = np.polynomial.legendre.leggauss(nodes)
+
+    def kernel(a, b):
+        density = np.exp(-steps * (b - a) ** 2 / 2.0) * math.sqrt(steps / (2.0 * math.pi))
+        survive = 1.0 - np.exp(-2.0 * steps * (1.0 - a) * (1.0 - b)) \
+            - np.exp(-2.0 * steps * (1.0 + a) * (1.0 + b))
+        return density * np.maximum(survive, 0.0) * wts
+
+    return x, kernel
+
+
 def killed_walk_mean_exit_step(nodes: int = 100, steps: int = 16) -> float:
     """Mean exit step m(0) of the walk on [-1, 1] from 0 with N(0, 1/steps) steps,
     killed by the bridge test: a step from x to y in [-1, 1] survives with
@@ -225,16 +241,45 @@ def killed_walk_mean_exit_step(nodes: int = 100, steps: int = 16) -> float:
     the Nystrom method puts it on `nodes` Gauss-Legendre nodes, solves the
     linear system there and evaluates 1 + (K m)(0) with the same rule.
     """
-    x, wts = np.polynomial.legendre.leggauss(nodes)
-
-    def kernel(a, b):
-        density = np.exp(-steps * (b - a) ** 2 / 2.0) * math.sqrt(steps / (2.0 * math.pi))
-        survive = 1.0 - np.exp(-2.0 * steps * (1.0 - a) * (1.0 - b)) \
-            - np.exp(-2.0 * steps * (1.0 + a) * (1.0 + b))
-        return density * np.maximum(survive, 0.0) * wts
-
+    x, kernel = _killed_walk_kernel(nodes, steps)
     m = np.linalg.solve(np.eye(nodes) - kernel(x[:, None], x[None, :]), np.ones(nodes))
     return float(1.0 + kernel(0.0, x) @ m)
+
+
+def killed_walk_exit_survival(j_max: int, nodes: int = 100, steps: int = 16) -> np.ndarray:
+    """P(N > j) for j = 0 .. j_max, N the exit step of the same killed walk.
+
+    Surviving j steps from 0 has probability (K^j 1)(0): the Nystrom rule
+    applies K j - 1 times on the nodes and once more from 0.  Summed over
+    every j >= 0 it gives the mean m(0) of killed_walk_mean_exit_step.
+    """
+    x, kernel = _killed_walk_kernel(nodes, steps)
+    k_nodes, k_origin = kernel(x[:, None], x[None, :]), kernel(0.0, x)
+    out = np.empty(j_max + 1)
+    out[0] = 1.0
+    v = np.ones(nodes)  # (K^(j-1) 1) on the nodes
+    for j in range(1, j_max + 1):
+        out[j] = k_origin @ v
+        v = k_nodes @ v
+    return out
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(chi^2_df > x) in closed form: the Poisson tail for even df; for odd df
+    erfc(sqrt(x/2)) plus the half-integer terms of the same series."""
+    h = x / 2.0
+    if df % 2 == 0:
+        term, total = 1.0, 1.0
+        for i in range(1, df // 2):
+            term *= h / i
+            total += term
+        return math.exp(-h) * total
+    term = math.sqrt(h) / math.gamma(1.5)  # h^(1/2) / Gamma(3/2)
+    total = 0.0
+    for i in range(df // 2):
+        total += term
+        term *= h / (i + 1.5)
+    return math.erfc(math.sqrt(h)) + math.exp(-h) * total
 
 
 # -- Taylor coefficients ----------------------------------------------------------------

@@ -544,6 +544,7 @@ _SPEC = '{"type": "otheta", "n": %s, "z": [%s, -1.0], "A": [[0.0, 0.0], [0.0, 0.
 _BAD_INPUTS = {
     "semigroup-drift": ("semigroup-check", "[flow]\ndrift_mu = 1e308\n"),
     "semigroup-sigma2": ("semigroup-check", "[flow]\nsigma2 = 1e308\ntime = 10\n"),
+    "projection-grid-huge": ("verify-projection", "[projection]\ngrid = 1125899906842624\n"),
     "exit-sigma2-denormal": ("exit-asymptotics", "[exit]\nsigma2 = 5e-324\n"),
     "exit-sigma2-huge": ("exit-asymptotics", "[exit]\nsigma2 = 1e308\n"),
     "exit-sigma2-tiny": ("exit-asymptotics", "[exit]\nsigma2 = 1e-300\n"),
@@ -559,7 +560,8 @@ _BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_bad_input_exits_nonzero_without_a_traceback(tmp_path, case):
-    # In a subprocess, so numpy's overflow warnings print instead of raising.
+    # In a subprocess, so a numpy warning would print, as a user sees it,
+    # instead of raising.
     import ncqbm
 
     command, text = _BAD_INPUTS[case]
@@ -573,5 +575,11 @@ def test_bad_input_exits_nonzero_without_a_traceback(tmp_path, case):
     assert out.returncode in (1, 2), (out.stdout, out.stderr)
     assert "Traceback" not in out.stderr
     assert "-> OK" not in out.stdout
-    if command == "exit-asymptotics":  # rejected before numpy could warn
-        assert "Warning" not in out.stderr, out.stderr
+    assert "Warning" not in out.stderr, out.stderr
+
+
+def test_a_grid_too_large_to_allocate_is_input_error(tmp_path, capsys):
+    # 2^50 samples (8 PiB) fail at once, before anything is allocated.
+    for command in ("verify-projection", "meet-demo"):
+        assert run([command, "--grid", str(2 ** 50), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")

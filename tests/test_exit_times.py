@@ -32,9 +32,11 @@ from ncqbm.lattice import meet_along_path, plateau_set
 
 from oracles import (
     certified_convergents_oracle,
+    chi2_sf,
     exit_steps_chunkwise,
     exit_time_mean_exact,
     exit_time_survival_exact,
+    killed_walk_exit_survival,
     killed_walk_mean_exit_step,
     reduced_angle_oracle,
     weighted_power_fit,
@@ -477,6 +479,27 @@ def test_chain_oracle_is_converged():
     assert abs(killed_walk_mean_exit_step(200) - CHAIN_MEAN_EXIT_STEP) < 1e-9
 
 
+# P(N > j) of the sampled chain for j = 0 .. 1000; past j = 1000 it is below 1e-25.
+CHAIN_EXIT_SURVIVAL = killed_walk_exit_survival(1000)
+
+
+def test_chain_exit_law_oracle_is_converged():
+    # Summed over j >= 0 the survival is the mean exit step.
+    assert abs(CHAIN_EXIT_SURVIVAL.sum() - 16.4999842823) < 1e-9
+    assert np.max(np.abs(killed_walk_exit_survival(200, nodes=200)
+                         - CHAIN_EXIT_SURVIVAL[:201])) < 1e-9
+    assert np.all(np.diff(CHAIN_EXIT_SURVIVAL) <= 0.0)
+
+
+def test_chi2_tail_at_tabulated_critical_values():
+    # The 5% and 0.01% points of chi-square with 1, 2, 5, 10 and 101 degrees of freedom.
+    for x, df in [(3.841458820694124, 1), (5.991464547107979, 2), (11.070497693516351, 5),
+                  (18.307038053275146, 10), (125.45841940848238, 101)]:
+        assert abs(chi2_sf(x, df) - 0.05) < 1e-12
+    for x, df in [(15.136705226623397, 1), (18.420680743952364, 2), (25.744831959055876, 5)]:
+        assert abs(chi2_sf(x, df) - 1e-4) < 1e-14
+
+
 def test_pooled_exit_step_of_the_default_sweep_matches_the_chain_oracle():
     # The six default levels are one walk: their 60,000 exit steps have the
     # chain's mean.  |z| <= 4 fails a correct sampler with probability 6.3e-5.
@@ -484,6 +507,30 @@ def test_pooled_exit_step_of_the_default_sweep_matches_the_chain_oracle():
     exits = np.concatenate([e_red for e_red, _, _ in _exit_steps(fam, range(6), 10_000, 0, 2.0)])
     z = (exits.mean() - CHAIN_MEAN_EXIT_STEP) / (exits.std(ddof=1) / math.sqrt(exits.size))
     assert abs(z) <= 4.0
+
+
+def test_pooled_exit_step_histogram_of_the_default_sweep_matches_the_chain_law():
+    # Pearson's chi-square of the 60,000 pooled exit steps of one default
+    # sweep against n P(N = j), with adjacent steps merged until each bin
+    # expects at least 5 and the tail N > 1000 in the last bin.  Failing at
+    # p < 1e-4 fails a correct sampler with probability 1e-4.  The test sees
+    # a change to the law that keeps the mean, which the mean test does not.
+    fam = ExitFamily.golden(6)
+    exits = np.concatenate([e_red for e_red, _, _ in _exit_steps(fam, range(6), 10_000, 0, 2.0)])
+    expected = exits.size * -np.diff(CHAIN_EXIT_SURVIVAL)  # j = 1 .. 1000
+    observed = np.bincount(exits, minlength=expected.size + 1)[1:]
+    tail = observed[expected.size:].sum()
+    bins, o, e = [], 0, 0.0
+    for oj, ej in zip(observed, expected):
+        o, e = o + oj, e + ej
+        if e >= 5.0:
+            bins.append((o, e))
+            o, e = 0, 0.0
+    o_last, e_last = bins.pop()
+    bins.append((o_last + o + tail, e_last + e + exits.size * CHAIN_EXIT_SURVIVAL[-1]))
+    obs, exp = np.array(bins).T
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    assert chi2_sf(stat, len(bins) - 1) >= 1e-4, (stat, len(bins))
 
 
 @pytest.mark.parametrize("index, seed", [(1, 7), (4, 8)])

@@ -211,3 +211,19 @@ def test_stream_rng_independent():
     c = stream_rng(1, 0).normal(size=4)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("key, normals, uniforms", [
+    ((0, 3, 0, 0, 0),
+     [0.4646193606505811, 0.27585853234881896, -0.8884115608876361, -1.2438403848276731],
+     [0.14183755703491496, 0.5250900247167826, 0.9641415634751166, 0.5778126827585944]),
+    ((7, 2, 1),
+     [0.17786825274422785, 0.4979422580943672, -0.559391496960831, 0.6518809806937446],
+     [0.1501903145510829, 0.1782499391091228, 0.4171294313889865, 0.696467843434407]),
+])
+def test_stream_rng_draws_are_pinned(key, normals, uniforms):
+    # The first draws of an exit-sampler chunk stream and a Monte Carlo chunk
+    # stream: changing the generator or the key layout changes every sampled
+    # output, so it has to change these literals too.
+    np.testing.assert_allclose(stream_rng(*key).standard_normal(4), normals, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(stream_rng(*key).random(4), uniforms, rtol=1e-14, atol=0)
