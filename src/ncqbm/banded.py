@@ -125,14 +125,10 @@ class ExactPiecewise:
 
 # -- circle functions -----------------------------------------------------------------
 
-_GRID_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def grid(n: int) -> np.ndarray:
     """The uniform grid j/n, cached."""
-    if n not in _GRID_CACHE:
-        _GRID_CACHE[n] = np.arange(n, dtype=float) / n
-    return _GRID_CACHE[n]
+    return np.arange(n, dtype=float) / n
 
 
 def _stencil(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -152,6 +148,12 @@ def _shift_stencil(n: int, s: float) -> tuple[np.ndarray, ...]:
     i0, i1, w0, w1 = _stencil(grid(n) - s, n)
     # Complex weights: the products promote them to w + 0j anyway.
     return i0, i1, w0.astype(complex), w1.astype(complex)
+
+
+def _interpolate(samples: np.ndarray, stencil: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The samples interpolated at the points of a stencil."""
+    i0, i1, w0, w1 = stencil
+    return samples[i0] * w0 + samples[i1] * w1
 
 
 class CircleFunction:
@@ -189,15 +191,13 @@ class CircleFunction:
     def eval_at(self, x: np.ndarray) -> np.ndarray:
         if self.exact is not None:
             return self.exact.eval(x)
-        i0, i1, w0, w1 = _stencil(x, self.n)
-        return self.samples[i0] * w0 + self.samples[i1] * w1
+        return _interpolate(self.samples, _stencil(x, self.n))
 
     def eval_shifted(self, s: float) -> np.ndarray:
         """eval_at(grid(n) - s), bit for bit, with the stencil cached."""
         if self.exact is not None:
             return self.exact.eval(grid(self.n) - s)
-        i0, i1, w0, w1 = _shift_stencil(self.n, s)
-        return self.samples[i0] * w0 + self.samples[i1] * w1
+        return _interpolate(self.samples, _shift_stencil(self.n, s))
 
     def sup(self) -> float:
         return float(np.abs(self.samples).max()) if self.n else 0.0
@@ -209,6 +209,12 @@ class CircleFunction:
 
 
 # -- banded elements ---------------------------------------------------------------------
+
+
+def _kept(sup: float) -> bool:
+    """The drop rule: a band is kept if its sup is above BAND_DROP_TOL or
+    not finite, so that overflow in an iteration surfaces instead of vanishing."""
+    return sup > BAND_DROP_TOL or not math.isfinite(sup)
 
 
 class BandedElement:
@@ -226,9 +232,7 @@ class BandedElement:
             if f.n != n:
                 raise ValueError("band grid size mismatch")
             sup = f.sup()
-            # Non-finite bands are kept so that overflow in an iteration
-            # surfaces instead of vanishing through the drop rule.
-            if sup > BAND_DROP_TOL or not math.isfinite(sup):
+            if _kept(sup):
                 kept[int(k)] = f
                 sups[int(k)] = sup
         self.bands = kept
@@ -311,10 +315,22 @@ def trace_banded(a: BandedElement) -> complex:
 def supdiff(a: BandedElement, b: BandedElement) -> float:
     """Sup over bands and grid of |a - b|."""
     a._check(b)
-    keys = set(a.bands) | set(b.bands)
+    return _supdiff_bands({k: f.samples for k, f in a.bands.items()}, a._sups,
+                          {k: f.samples for k, f in b.bands.items()}, b._sups)
+
+
+def _supdiff_bands(bands_a: Mapping[int, np.ndarray], sups_a: Mapping[int, float],
+                   bands_b: Mapping[int, np.ndarray], sups_b: Mapping[int, float]) -> float:
+    """supdiff from the band samples and sups of both sides.
+
+    A key on one side alone contributes its stored sup, the sup of its
+    difference from a zero band.  A NaN band leaves the max unchanged.
+    """
     out = 0.0
-    for k in keys:
-        out = max(out, float(np.abs(a.band(k).samples - b.band(k).samples).max()))
+    for k in bands_a.keys() | bands_b.keys():
+        both = k in bands_a and k in bands_b
+        out = max(out, float(np.abs(bands_a[k] - bands_b[k]).max()) if both
+                  else sups_a.get(k, sups_b.get(k)))
     return out
 
 

@@ -49,7 +49,7 @@ from .generators import (
     generator_spec_from_data,
     solve_biinvariant_oplus,
 )
-from .lattice import DegenerateMeet, compare_iterative_to_closed_form
+from .lattice import compare_iterative_to_closed_form
 from .torus import AlgebraContext, TorusElement
 
 
@@ -185,6 +185,10 @@ def _write_text(directory: str, name: str, text: str) -> Path:
     return path
 
 
+def _write_json(directory: str, name: str, payload: dict) -> Path:
+    return _write_text(directory, name, json.dumps(payload, sort_keys=True) + "\n")
+
+
 def _check_grid(name: str, grid: int, eps: float) -> None:
     """Rejects a grid at or below 32/eps, the fold's quantum rule 8/n < eps/4.
 
@@ -226,8 +230,7 @@ def cmd_verify_projection(cfg: ExperimentConfig) -> int:
         "is_member": membership.member,
         "passed": ok,
     }
-    path = _write_text(cfg.out, "projection_report.json",
-                       json.dumps(payload, sort_keys=True) + "\n")
+    path = _write_json(cfg.out, "projection_report.json", payload)
     print(f"verify-projection: residual={report.sup_idempotent:.3e} "
           f"trace_error={trace_error:.3e} -> {'OK' if ok else 'FAIL'} ({path})")
     return 0 if ok else 1
@@ -263,9 +266,6 @@ def cmd_meet_demo(cfg: ExperimentConfig) -> int:
         try:
             diff, rep, _arcs = compare_iterative_to_closed_form(
                 spec, s, t, s2, t2, n=cfg.meet_grid)
-        except DegenerateMeet:
-            add_row(s, t, s2, t2, None, None, "A wedge A = A branch")
-            continue
         except ValueError:
             add_row(s, t, s2, t2, None, None, "hypothesis violated, skipped")
             continue
@@ -347,8 +347,7 @@ def cmd_semigroup_check(cfg: ExperimentConfig) -> int:
                    "false_failure_rate": len(records) * per_coefficient},
         "passed": ok,
     }
-    path = _write_text(cfg.out, "semigroup_check.json",
-                       json.dumps(payload, sort_keys=True) + "\n")
+    path = _write_json(cfg.out, "semigroup_check.json", payload)
     print(f"semigroup-check: max |z| = {worst:.2f} over {len(records)} "
           f"coefficients -> {'OK' if ok else 'FAIL'} ({path})")
     return 0 if ok else 1
@@ -402,8 +401,7 @@ def cmd_exit_asymptotics(cfg: ExperimentConfig) -> int:
     rows += [f"{level.index},{level.k},{level.v!r},{est.gamma!r},{est.stderr!r}"
              for level, est in zip(family.levels, report.estimates)]
     csv_path = _write_text(cfg.out, "exit_asymptotics.csv", "\n".join(rows) + "\n")
-    json_path = _write_text(cfg.out, "exit_asymptotics.json",
-                            json.dumps(summary, sort_keys=True) + "\n")
+    json_path = _write_json(cfg.out, "exit_asymptotics.json", summary)
     result = (f"n0={fit.n0} slope={fit.slope:.3f} c1={fit.c1:.5f} d={inv.d:.3f}"
               if fit is not None else report.fit_error)
     print(f"exit-asymptotics: {result} -> {'OK' if ok else 'FAIL'} ({csv_path}, {json_path})")
@@ -441,7 +439,7 @@ def _verdict(report, kind: str, source: str) -> dict:
     return verdict
 
 
-def cmd_generator_check(cfg: ExperimentConfig, spec_paths: Sequence[str]) -> int:
+def cmd_generator_check(cfg: ExperimentConfig, *spec_paths: str) -> int:
     verdicts = []
     all_valid = True
     sources = ([(path, _read_spec(path)) for path in spec_paths] if spec_paths
@@ -454,8 +452,7 @@ def cmd_generator_check(cfg: ExperimentConfig, spec_paths: Sequence[str]) -> int
         verdicts.append(verdict)
     biinv = {f"n={n}": solve_biinvariant_oplus(n).dimension for n in (1, 2)}
     payload = {"verdicts": verdicts, "biinvariant_solution_dimension": biinv}
-    path = _write_text(cfg.out, "generator_check.json",
-                       json.dumps(payload, sort_keys=True) + "\n")
+    path = _write_json(cfg.out, "generator_check.json", payload)
     dims = ", ".join(f"{k}: {{0}}" if v == 0 else f"{k}: dim {v}"
                      for k, v in biinv.items())
     print(f"generator-check: {len(verdicts)} specs, all_valid={all_valid}; "
@@ -464,6 +461,17 @@ def cmd_generator_check(cfg: ExperimentConfig, spec_paths: Sequence[str]) -> int
 
 
 # -- argument parsing -------------------------------------------------------------------------
+
+# Subcommand name -> (help text, function).  Each function takes the merged
+# config; generator-check also takes its spec paths.
+_COMMANDS = {
+    "verify-projection": ("build and verify the trapezoid projection", cmd_verify_projection),
+    "meet-demo": ("iterative meets against the closed form", cmd_meet_demo),
+    "semigroup-check": ("Monte Carlo averages against the exact heat semigroup",
+                        cmd_semigroup_check),
+    "exit-asymptotics": ("exit-time family, fit, and invariants", cmd_exit_asymptotics),
+    "generator-check": ("validate generator spec files", cmd_generator_check),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -483,18 +491,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for quantum Brownian motion on the "
                     "noncommutative 2-torus")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify-projection", parents=[common],
-                   help="build and verify the trapezoid projection")
-    sub.add_parser("meet-demo", parents=[common],
-                   help="iterative meets against the closed form")
-    sub.add_parser("semigroup-check", parents=[common],
-                   help="Monte Carlo averages against the exact heat semigroup")
-    sub.add_parser("exit-asymptotics", parents=[common],
-                   help="exit-time family, fit, and invariants")
-    gen = sub.add_parser("generator-check", parents=[common],
-                         help="validate generator spec files")
-    gen.add_argument("specs", nargs="*", metavar="SPEC.json",
-                     help="generator spec files (bundled examples when omitted)")
+    commands = {name: sub.add_parser(name, parents=[common], help=help_text)
+                for name, (help_text, _) in _COMMANDS.items()}
+    commands["generator-check"].add_argument(
+        "specs", nargs="*", metavar="SPEC.json",
+        help="generator spec files (bundled examples when omitted)")
     return parser
 
 
@@ -528,21 +529,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(render_config(cfg), end="")
         return 0
     try:
-        if args.command == "verify-projection":
-            return cmd_verify_projection(cfg)
-        if args.command == "meet-demo":
-            return cmd_meet_demo(cfg)
-        if args.command == "semigroup-check":
-            return cmd_semigroup_check(cfg)
-        if args.command == "exit-asymptotics":
-            return cmd_exit_asymptotics(cfg)
-        if args.command == "generator-check":
-            return cmd_generator_check(cfg, args.specs)
+        return _COMMANDS[args.command][1](cfg, *getattr(args, "specs", ()))
     # A MemoryError comes from a size the config asked for, such as the grid.
     except (ConfigError, ValueError, StepCapExceeded, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

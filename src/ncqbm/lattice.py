@@ -7,7 +7,9 @@ Two routes to the meet p wedge q of trapezoid-projection translates:
   MEET_TOL = 1e-10; each meet squares with only the band products that its
   product plan finds can be nonzero, by a squaring program built once per
   key set, and takes the exact residual only where the band sups leave it
-  in doubt; and
+  in doubt.  It squares raw band arrays by banded's rules: its drop rule
+  (_kept), its interpolation (_interpolate) and its sup-difference
+  (_supdiff_bands, the exact residual _residual); and
 
 * closed form: under the bump-disjointness hypothesis the meet of the
   translates A_{s,t}(P) and A_{s',t'}(P) is the diagonal indicator chi_S(U)
@@ -28,8 +30,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .banded import (BAND_DROP_TOL, BandedElement, CircleFunction, RieffelProjectionSpec,
-                     _frac, _shift_stencil, banded_mul, build_rieffel_projection,
-                     indicator_banded, supdiff, translate_action)
+                     _frac, _interpolate, _kept, _shift_stencil, banded_mul,
+                     build_rieffel_projection, indicator_banded, supdiff, translate_action)
+from .banded import _supdiff_bands as _residual  # supdiff(r r, r) from bands and sups
 
 
 # Squaring residual at which an iterated meet counts as converged.
@@ -281,33 +284,25 @@ def _square(bands: dict[int, np.ndarray], program: list[tuple[int, list[_Product
     """One squaring of r, given as its band samples, by the program of its
     keys: the bands and sups of r r.
 
-    Equal in value to banded_mul(r, r) under the BandedElement drop rule:
-    keys in first-touch order, each summed in k-then-j order.  A pair the
-    plan leaves out is a signed zero, so leaving it out can change a
-    component only from +0.0 to -0.0, which compares equal.
+    Equal in value to banded_mul(r, r): each product f_k(x) f_j(x - k theta)
+    is taken by banded's _interpolate, keys come in first-touch order, each
+    summed in k-then-j order, and banded's drop rule (_kept) keeps the
+    bands.  A pair the plan leaves out is a signed zero, so leaving it out
+    can change a component only from +0.0 to -0.0, which compares equal.
     """
     out: dict[int, np.ndarray] = {}
     out_sups: dict[int, float] = {}
     for key, products in program:
-        v = _band_product(bands, *products[0])
-        for product in products[1:]:
-            v += _band_product(bands, *product)
+        terms = (bands[k] * (bands[j] if stencil is None else _interpolate(bands[j], stencil))
+                 for k, j, stencil in products)
+        v = next(terms)
+        for term in terms:
+            v += term
         sup = float(np.abs(v).max())
-        # Non-finite bands are kept, as BandedElement keeps them.
-        if sup > BAND_DROP_TOL or not math.isfinite(sup):
+        if _kept(sup):
             out[key] = v
             out_sups[key] = sup
     return out, out_sups
-
-
-def _band_product(bands: dict[int, np.ndarray], k: int, j: int,
-                  stencil: Optional[tuple[np.ndarray, ...]]) -> np.ndarray:
-    """f_k(x) f_j(x - k theta) on the grid, as banded_mul takes it."""
-    f, g = bands[k], bands[j]
-    if stencil is None:
-        return f * g
-    i0, i1, w0, w1 = stencil
-    return f * (g[i0] * w0 + g[i1] * w1)
 
 
 def _residual_floor(sups2: dict[int, float], sups: dict[int, float],
@@ -322,17 +317,6 @@ def _residual_floor(sups2: dict[int, float], sups: dict[int, float],
             return None
         low, high = max(low, abs(a - b)), max(high, a + b)
     return low if high < 1e5 and low > 2.0 * tol + 1e-12 * high else None
-
-
-def _residual(bands2: dict[int, np.ndarray], sups2: dict[int, float],
-              bands: dict[int, np.ndarray], sups: dict[int, float]) -> float:
-    """supdiff(r r, r) from the bands and sups of both sides."""
-    residual = 0.0  # supdiff's max: a NaN band leaves it unchanged
-    for key in bands2.keys() | bands.keys():
-        both = key in bands2 and key in bands
-        residual = max(residual, float(np.abs(bands2[key] - bands[key]).max()) if both
-                       else sups2.get(key, sups.get(key)))
-    return residual
 
 
 def _bare_squarings(f: np.ndarray, iterations: int,

@@ -10,6 +10,8 @@ Oracles provided:
   (q x q unitaries with U V = e^{2 pi i p/q} V U),
 * Fourier synthesis of band functions from Laurent coefficients (cross-checks
   the banded crossed-product arithmetic against the coefficient arithmetic),
+* the grid sup-difference of two band maps, band by band against zero bands,
+  the reference for banded.supdiff's use of stored band sups,
 * alternating-product lattice meet for explicitly represented q x q matrices,
 * the operator path fold's stride factors by a per-sample walk, the reference
   for the array scan in lattice._stride_factors,
@@ -90,6 +92,22 @@ def synthesize_band(coeffs: dict[tuple[int, int], complex], band: int,
     for (m, n), c in coeffs.items():
         if n == band:
             out += c * np.exp(2j * np.pi * m * x)
+    return out
+
+
+def supdiff_per_band(bands_a: dict[int, np.ndarray], bands_b: dict[int, np.ndarray],
+                     n_grid: int) -> float:
+    """Sup over bands and grid of |a - b| for band maps {k: samples}.
+
+    A key on one side only is compared with a zero band.  Python's max keeps
+    its first argument against a NaN, so a NaN difference leaves the max
+    unchanged.
+    """
+    out = 0.0
+    for k in set(bands_a) | set(bands_b):
+        a = bands_a.get(k, np.zeros(n_grid, dtype=complex))
+        b = bands_b.get(k, np.zeros(n_grid, dtype=complex))
+        out = max(out, float(np.abs(a - b).max()))
     return out
 
 

@@ -15,7 +15,7 @@ from ncqbm.banded import (BandedElement, CircleFunction, ExactPiecewise, Piece,
                           trace_banded, translate_action)
 from ncqbm.torus import AlgebraContext, TorusElement, mul, star
 
-from oracles import synthesize_band
+from oracles import supdiff_per_band, synthesize_band
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -379,3 +379,72 @@ def test_complex_stencil_weights_match_float_bitwise(parts, shift):
         want = g[i0] * w0 + g[i1] * w1
         got = g[i0] * c0 + g[i1] * c1
     assert got.tobytes() == want.tobytes()
+
+
+# Shifts for eval_shifted: negatives and values above 1, tiny and subnormal
+# values, signed zeros (equal as cache keys) and the shifts k theta that
+# banded_mul caches.
+SHIFTS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 3.0]),
+    st.builds(lambda k: k * GOLDEN, st.integers(-3, 3)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(SHIFTS, st.sampled_from([32, 64, 512]), st.integers(0, 2**32 - 1))
+def test_eval_shifted_matches_eval_at_bitwise(s, n, seed):
+    # eval_shifted(s) is eval_at(grid(n) - s) with the stencil cached: for
+    # grid samples with signed zeros, NaN and infinities among them, and
+    # for exact descriptors.  Each shift is asked for twice, and a zero
+    # once more with the other sign, so later calls read the cached stencil.
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+    samples[:len(SPECIAL_PAIRS)] = [complex(re, im) for re, im in SPECIAL_PAIRS]
+    p = build_rieffel_projection(RieffelProjectionSpec(GOLDEN, GOLDEN / 4.0), n)
+    functions = [CircleFunction(samples), CircleFunction.const(0.5, n), *p.bands.values()]
+    banded._shift_stencil.cache_clear()
+    with np.errstate(all="ignore"):
+        for f in functions:
+            want = f.eval_at(grid(n) - s).tobytes()
+            for shift in (s, s, -s if s == 0.0 else s):
+                assert f.eval_shifted(shift).tobytes() == want
+
+
+BAND_KINDS = ["normal", "tiny", "nan", "inf", "-inf", "inf-imag"]
+
+
+def special_band(kind, seed, n=16):
+    """A random band, below the drop tolerance ("tiny"), or with one NaN or
+    infinite sample among its first four."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if kind == "tiny":
+        return f * 1e-17
+    if kind != "normal":
+        f[seed % 4] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                       "inf-imag": complex(0.0, np.inf)}[kind]
+    return f
+
+
+BAND_MAPS = st.dictionaries(st.integers(-2, 2),
+                            st.tuples(st.sampled_from(BAND_KINDS), st.integers(0, 7)),
+                            max_size=5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(BAND_MAPS, BAND_MAPS)
+def test_supdiff_matches_the_per_band_oracle(spec_a, spec_b):
+    # supdiff reads the stored sup of a key on one side only; the oracle
+    # subtracts a zero band there.  Same value for one-sided keys, NaN and
+    # infinite bands, and NaN differences (inf - inf) where both sides have
+    # a key.
+    ctx = AlgebraContext(GOLDEN)
+    a, b = ({k: CircleFunction(special_band(*kind)) for k, kind in spec.items()}
+            for spec in (spec_a, spec_b))
+    ea, eb = BandedElement(ctx, a, 16), BandedElement(ctx, b, 16)
+    with np.errstate(invalid="ignore"):
+        want = supdiff_per_band({k: f.samples for k, f in ea.bands.items()},
+                                {k: f.samples for k, f in eb.bands.items()}, 16)
+        assert supdiff(ea, eb) == supdiff(eb, ea) == want
